@@ -16,7 +16,10 @@ import (
 // BenchAnalysisEntry is one registry program's explored-state comparison
 // across the fast engine's reduction modes: unreduced, ample-set only, and
 // full (ample sets plus liveness normalization and symmetry
-// canonicalization).
+// canonicalization). A violated row's counts are time-to-bug: each mode
+// stops at its first violation, so the counts measure how far each mode's
+// search order ran before finding it, and the row carries no reduction
+// percentages.
 type BenchAnalysisEntry struct {
 	Name string `json:"name"`
 	N    int    `json:"n"`
@@ -36,13 +39,14 @@ type BenchAnalysisEntry struct {
 	// at the first violation, so their counts measure time-to-bug).
 	Violated bool `json:"violated"`
 	// ReductionPct is 100 * (1 - por_pruned/unpruned): the engine's
-	// default (full) mode against no reduction.
-	ReductionPct float64 `json:"reduction_pct"`
+	// default (full) mode against no reduction. Absent on violated rows.
+	ReductionPct *float64 `json:"reduction_pct,omitempty"`
 	// SymmetryPct is 100 * (1 - por_pruned/pruned): what canonicalization
 	// adds on top of ample sets. For programs the type discipline proves
 	// symmetric this is orbit merging plus dead-register zeroing; for
 	// rejected programs the liveness normalization still contributes.
-	SymmetryPct float64 `json:"symmetry_pct"`
+	// Absent on violated rows.
+	SymmetryPct *float64 `json:"symmetry_pct,omitempty"`
 }
 
 // SimBenchBaseline pins the deterministic workload behind the sink-overhead
@@ -405,11 +409,10 @@ func AnalysisBench(ctx context.Context, ns []int, maxStates int, padvetRoot stri
 				Complete:        plain.Complete && ample.Complete && full.Complete,
 				Violated:        plain.Violation,
 			}
-			if plain.States > 0 {
-				ent.ReductionPct = 100 * (1 - float64(full.States)/float64(plain.States))
-			}
-			if ample.States > 0 {
-				ent.SymmetryPct = 100 * (1 - float64(full.States)/float64(ample.States))
+			if !ent.Violated {
+				red := 100 * (1 - float64(full.States)/float64(plain.States))
+				sym := 100 * (1 - float64(full.States)/float64(ample.States))
+				ent.ReductionPct, ent.SymmetryPct = &red, &sym
 			}
 			out.Programs = append(out.Programs, ent)
 		}

@@ -30,12 +30,13 @@ func (p *bpath) schedule() []tso.Decision {
 	return out
 }
 
-// bitem is a bitstate frontier entry.
+// bitem is a bitstate frontier entry: a state, its encoding held in its
+// queue's frontier arena, and the path that reached it.
 type bitem struct {
-	st   *State
 	h    uint64
+	ref  aref
+	cum  uint16
 	path *bpath
-	cum  []int
 }
 
 // mix64 is the splitmix64 finalizer, deriving the second bit position from
@@ -48,7 +49,7 @@ func mix64(x uint64) uint64 {
 }
 
 // bgraph is the shared state of a bitstate run: a double-hashed atomic bit
-// array in place of exact seen-sets, plus sharded next-layer queues.
+// array in place of fingerprint seen-sets, plus sharded next-layer queues.
 type bgraph struct {
 	words  []atomic.Uint64
 	mask   uint64
@@ -61,7 +62,7 @@ type bgraph struct {
 
 type bqueue struct {
 	mu   sync.Mutex
-	next []bitem // guarded by mu
+	next frontier[bitem] // guarded by mu
 }
 
 func (g *bgraph) fail(err error) {
@@ -95,27 +96,35 @@ func (g *bgraph) seen(h uint64) bool {
 		g.words[p2>>6].Load()&(1<<(p2&63)) != 0
 }
 
-// insert marks h seen and enqueues the item if at least one probe bit was
-// clear. Two workers racing on the same fresh state may both enqueue it (a
-// bounded duplication, resolved when the copies' successors all hash seen);
-// a layer's outcome is therefore not bit-for-bit deterministic across
-// worker counts, which the Probabilistic result flag already announces.
-func (g *bgraph) insert(it bitem) {
-	seen1 := g.testSet(it.h & g.mask)
-	seen2 := g.testSet(mix64(it.h) & g.mask)
+// claim marks h seen and reports whether at least one probe bit was clear,
+// that is whether the state is new and the caller must enqueue it. Two
+// workers racing on the same fresh state may both claim it (a bounded
+// duplication, resolved when the copies' successors all hash seen); a
+// layer's outcome is therefore not bit-for-bit deterministic across worker
+// counts, which the Probabilistic result flag already announces.
+func (g *bgraph) claim(h uint64) bool {
+	seen1 := g.testSet(h & g.mask)
+	seen2 := g.testSet(mix64(h) & g.mask)
 	if seen1 && seen2 {
-		return
+		return false
 	}
 	g.states.Add(1)
+	return true
+}
+
+// enqueue adds a claimed state with encoding enc to its queue for the next
+// layer.
+func (g *bgraph) enqueue(it bitem, enc []uint64) {
 	q := &g.queues[it.h%uint64(len(g.queues))]
 	q.mu.Lock()
-	q.next = append(q.next, it)
+	it.ref = q.next.enc.put(enc)
+	q.next.items = append(q.next.items, it)
 	q.mu.Unlock()
 }
 
 // bworker is one bitstate exploration worker.
 type bworker struct {
-	eng   *Engine
+	x     expander
 	g     *bgraph
 	ctx   context.Context // padvet:allow ctx-field run root: a worker lives for one check call
 	ticks int
@@ -128,24 +137,8 @@ type bworker struct {
 	violPath *bpath
 }
 
-func (w *bworker) canon(s *State) (*State, []int) {
-	if w.eng.red == nil {
-		return s, nil
-	}
-	return w.eng.red.canonicalize(s)
-}
-
-func (w *bworker) push(parent bitem, d tso.Decision, cc *State, perm []int) {
-	h := w.eng.hash(cc)
-	w.g.insert(bitem{
-		st:   cc,
-		h:    h,
-		path: &bpath{d: realDecision(w.eng.red, d, parent.cum), prev: parent.path},
-		cum:  compose(perm, parent.cum, w.eng.n),
-	})
-}
-
-func (w *bworker) expand(it bitem) {
+// expand explores one state of the current layer, its encoding read from a.
+func (w *bworker) expand(it bitem, a *arena) {
 	w.ticks++
 	if w.ticks&0xff == 0 {
 		if err := w.ctx.Err(); err != nil {
@@ -153,59 +146,40 @@ func (w *bworker) expand(it bitem) {
 			return
 		}
 	}
-	e := w.eng
-	if e.Violated(it.st) {
+	x := &w.x
+	x.load(a.get(it.ref))
+	if x.eng.Violated(&x.par) {
 		if !w.viol || it.h < w.violH {
 			w.viol, w.violH, w.violPath = true, it.h, it.path
 		}
 		return
 	}
-	if e.red != nil {
-		if id, ok := e.ampleProcess(it.st); ok {
-			amp := e.procDecisions(it.st, id, nil)
-			kids := make([]*State, len(amp))
-			perms := make([][]int, len(amp))
-			proviso := false
-			for i, d := range amp {
-				child := it.st.Clone()
-				if err := e.Apply(child, d); err != nil {
-					w.g.fail(fmt.Errorf("vmprog: bitstate check: %w", err))
-					return
-				}
-				kids[i], perms[i] = w.canon(child)
-				// With only bits for identity there is no discovery layer
-				// to freeze, so any seen ample successor triggers the
-				// proviso. Over-triggering costs reduction, never
-				// soundness: a truly visited successor always reads seen.
-				if w.g.seen(e.hash(kids[i])) {
-					proviso = true
-				}
-			}
-			if !proviso {
-				w.ampleSteps++
-				w.transitions += len(amp)
-				for i, d := range amp {
-					w.push(it, d, kids[i], perms[i])
-				}
-				return
-			}
-		}
+	// With only bits for identity there is no discovery layer to freeze,
+	// so any seen ample successor triggers the proviso. Over-triggering
+	// costs reduction, never soundness: a truly visited successor always
+	// reads seen.
+	ample, err := x.successors(w.g.seen)
+	if err != nil {
+		w.g.fail(fmt.Errorf("vmprog: bitstate check: %w", err))
+		return
 	}
-	for _, d := range e.decisions(it.st) {
-		child := it.st.Clone()
-		if err := e.Apply(child, d); err != nil {
-			w.g.fail(fmt.Errorf("vmprog: bitstate check: %w", err))
-			return
+	if ample {
+		w.ampleSteps++
+	}
+	w.transitions += len(x.kids)
+	for k := range x.kids {
+		h := x.kids[k].h
+		if !w.g.claim(h) {
+			continue
 		}
-		w.transitions++
-		cc, perm := w.canon(child)
-		w.push(it, d, cc, perm)
+		d, cum := x.route(k, it.cum)
+		w.g.enqueue(bitem{h: h, cum: cum, path: &bpath{d: d, prev: it.path}}, x.kidEnc(k))
 	}
 }
 
 // checkBitstate is CheckParallel's bitstate mode: the same layered frontier
-// search with the exact sharded seen-sets replaced by a double-hashed bit
-// array sized 1<<BitstateBits bits. The result always carries
+// search with the sharded fingerprint seen-sets replaced by a double-hashed
+// bit array sized 1<<BitstateBits bits. The result always carries
 // Probabilistic=true.
 func (e *Engine) checkBitstate(ctx context.Context, o ParallelOpts) (*CheckResult, error) {
 	workers, maxStates := parallelWorkers(o)
@@ -224,55 +198,28 @@ func (e *Engine) checkBitstate(ctx context.Context, o ParallelOpts) (*CheckResul
 	}
 	ws := make([]*bworker, workers)
 	for i := range ws {
-		ws[i] = &bworker{eng: e.workerClone(), g: g, ctx: ctx}
+		ws[i] = &bworker{x: expander{eng: e.workerClone()}, g: g, ctx: ctx}
 	}
 	res := &CheckResult{Complete: true, Probabilistic: true}
-	root, rootPerm := ws[0].canon(ws[0].eng.Initial())
-	g.insert(bitem{st: root, h: ws[0].eng.hash(root), cum: rootPerm})
+	x := &ws[0].x
+	x.root()
+	g.claim(x.kids[0].h)
+	g.enqueue(bitem{h: x.kids[0].h, cum: x.kids[0].perm}, x.kidEnc(0))
+	var fronts []frontier[bitem]
 	for {
-		fronts := make([][]bitem, len(g.queues))
-		empty := true
+		done := fronts
+		fronts = make([]frontier[bitem], len(g.queues))
 		for i := range g.queues {
-			fronts[i] = g.queues[i].next // padvet:allow lockguard layer barrier: the coordinator runs alone, workers are parked
-			g.queues[i].next = nil       // padvet:allow lockguard layer barrier: the coordinator runs alone, workers are parked
-			if len(fronts[i]) > 0 {
-				empty = false
+			var d frontier[bitem]
+			if done != nil {
+				d = done[i]
 			}
+			fronts[i] = g.queues[i].next.rotate(d) // padvet:allow lockguard layer barrier: the coordinator runs alone, workers are parked
 		}
-		if empty {
+		if emptyFronts(fronts) {
 			break
 		}
-		cursors := make([]atomic.Int64, len(fronts))
-		const chunk = 16
-		var wg sync.WaitGroup
-		for wi := range ws {
-			wg.Add(1)
-			go func(wi int) {
-				defer wg.Done()
-				w := ws[wi]
-				for off := 0; off < len(fronts); off++ {
-					fi := (wi + off) % len(fronts)
-					items := fronts[fi]
-					for {
-						if g.stop.Load() {
-							return
-						}
-						start := int(cursors[fi].Add(chunk)) - chunk
-						if start >= len(items) {
-							break
-						}
-						end := start + chunk
-						if end > len(items) {
-							end = len(items)
-						}
-						for k := start; k < end; k++ {
-							w.expand(items[k])
-						}
-					}
-				}
-			}(wi)
-		}
-		wg.Wait()
+		runLayer(workers, fronts, &g.stop, func(wi int, it bitem, a *arena) { ws[wi].expand(it, a) })
 		if g.err != nil { // padvet:allow lockguard layer barrier: the coordinator runs alone, workers are parked
 			return nil, g.err // padvet:allow lockguard layer barrier: the coordinator runs alone, workers are parked
 		}

@@ -23,7 +23,7 @@ func (e *Engine) Crash(s *State, id int) error {
 	if !p.Started || p.Done || p.Crashed {
 		return errInvalidDecision
 	}
-	p.Buf = nil
+	p.Buf = p.Buf[:0]
 	p.Regs = [NumRegs]uint64{}
 	p.Fencing = false
 	p.InExit = false
@@ -67,7 +67,7 @@ func (e *Engine) crashDecisions(s *State, o CrashOpts, out []tso.Decision) []tso
 // It is the enumeration the crash-schedule search and the crash fuzzer
 // drive the engine with.
 func (e *Engine) EnabledDecisions(s *State, o CrashOpts) []tso.Decision {
-	return e.crashDecisions(s, o, e.decisions(s))
+	return e.crashDecisions(s, o, e.decisions(s, nil))
 }
 
 // RecovResult is the outcome of a crash-enabled recoverability check.
@@ -141,7 +141,7 @@ func (e *Engine) CheckRecoverable(ctx context.Context, maxStates int, o CrashOpt
 	}
 	root, rootPerm := canon(e.Initial())
 	nodes := []node{{st: root, parent: -1, cum: rootPerm}}
-	seen := map[uint64]int{e.hash(root): 0}
+	seen := map[uint64]int{e.Hash(root): 0}
 	succs := [][]int{nil}
 	// path reconstructs the real-frame schedule into node i.
 	path := func(i int) []tso.Decision {
@@ -177,7 +177,7 @@ func (e *Engine) CheckRecoverable(ctx context.Context, maxStates int, o CrashOpt
 			return res, nil // Complete stays false: no verdict
 		}
 		st, cum := nodes[i].st, nodes[i].cum
-		decs := e.crashDecisions(st, o, e.decisions(st))
+		decs := e.crashDecisions(st, o, e.decisions(st, nil))
 		for _, d := range decs {
 			child := st.Clone()
 			if err := e.Apply(child, d); err != nil {
@@ -194,7 +194,7 @@ func (e *Engine) CheckRecoverable(ctx context.Context, maxStates int, o CrashOpt
 			}
 			res.Transitions++
 			cc, perm := canon(child)
-			h := e.hash(cc)
+			h := e.Hash(cc)
 			j, ok := seen[h]
 			if !ok {
 				j = len(nodes)

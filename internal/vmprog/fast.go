@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 
 	"priceadaptive/internal/tso"
 )
@@ -59,15 +58,8 @@ type State struct {
 
 // Clone returns a deep copy.
 func (s *State) Clone() *State {
-	ns := &State{
-		Mem:     append([]uint64(nil), s.Mem...),
-		Procs:   make([]PState, len(s.Procs)),
-		Crashes: s.Crashes,
-	}
-	copy(ns.Procs, s.Procs)
-	for i := range ns.Procs {
-		ns.Procs[i].Buf = append([]bufEnt(nil), s.Procs[i].Buf...)
-	}
+	ns := &State{}
+	copyState(ns, s)
 	return ns
 }
 
@@ -511,63 +503,19 @@ func (e *Engine) Apply(s *State, d tso.Decision) error {
 	return e.Step(s, int(d.P))
 }
 
-// Hash fingerprints a state, for callers (like the crash-schedule search)
-// that deduplicate their own frontiers. Equal states hash equal; collisions
-// are possible, so it must not substitute for equality where soundness
-// depends on it.
-func (e *Engine) Hash(s *State) uint64 { return e.hash(s) }
-
-// hash fingerprints a state.
-func (e *Engine) hash(s *State) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	w := func(x uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(x >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	for _, m := range s.Mem {
-		w(m)
-	}
-	for i := range s.Procs {
-		p := &s.Procs[i]
-		w(pflags(p))
-		for _, r := range p.Regs {
-			w(r)
-		}
-		w(uint64(len(p.Buf)))
-		for _, b := range p.Buf {
-			w(uint64(b.v))
-			w(b.x)
-		}
-	}
-	return h.Sum64()
-}
-
-// pflags packs a process's scheduling-relevant booleans, PC and crash
-// budget into one word, shared by the state hash and the canonicalizer's
-// flat encoding so the two never disagree on state identity. CrashCount is
-// part of state identity: the remaining per-process crash budget
-// determines which crash transitions are enabled.
-func pflags(p *PState) uint64 {
-	flags := uint64(p.CrashCount)<<32 | uint64(p.PC)<<5
-	if p.Fencing {
-		flags |= 1
-	}
-	if p.Started {
-		flags |= 2
-	}
-	if p.Done {
-		flags |= 4
-	}
-	if p.InExit {
-		flags |= 8
-	}
-	if p.Crashed {
-		flags |= 16
-	}
-	return flags
+// Hash fingerprints a state: the 64-bit hash of its flat encoding, the
+// same fingerprint the search engines compute for every successor. Equal
+// states hash equal. Distinct states collide with probability about 2^-64
+// per pair, and the seen-sets of Check, CheckRecoverable and the frontier
+// engines key on this fingerprint alone (hash compaction): a collision
+// would merge two states and could hide the subtree behind one of them.
+// Over a search of m states the chance that any collision occurs at all is
+// about m^2/2^65. It is safe for concurrent use.
+func (e *Engine) Hash(s *State) uint64 {
+	// Encodings of up to 128 words are built on the stack; longer ones
+	// spill to the heap.
+	var buf [128]uint64
+	return hashWords(encode(buf[:0], s))
 }
 
 // CheckResult summarizes an exhaustive exploration by the fast engine.
@@ -641,13 +589,13 @@ func (e *Engine) Check(ctx context.Context, maxStates int) (*CheckResult, error)
 		return r.canonicalize(s)
 	}
 	root, rootPerm := canon(e.Initial())
-	seen[e.hash(root)] = true
+	seen[e.Hash(root)] = true
 	res.States = 1
 	stack := []node{{st: root, cum: rootPerm}}
 	// push applies d (in nd's frame) to nd.st, canonicalizes, and pushes
 	// the child if unseen. Every applied decision counts as a transition.
 	push := func(nd *node, d tso.Decision, child *State, perm []int) {
-		h := e.hash(child)
+		h := e.Hash(child)
 		if seen[h] {
 			return
 		}
@@ -688,7 +636,7 @@ func (e *Engine) Check(ctx context.Context, maxStates int) (*CheckResult, error)
 						return nil, fmt.Errorf("vmprog: check: %w", err)
 					}
 					kids[i], perms[i] = canon(child)
-					if seen[e.hash(kids[i])] {
+					if seen[e.Hash(kids[i])] {
 						// C3 visited-proviso: an ample successor was
 						// already visited, so this state could close a
 						// cycle along which other processes are ignored
@@ -706,7 +654,7 @@ func (e *Engine) Check(ctx context.Context, maxStates int) (*CheckResult, error)
 				}
 			}
 		}
-		for _, d := range e.decisions(nd.st) {
+		for _, d := range e.decisions(nd.st, nil) {
 			child := nd.st.Clone()
 			if err := e.Apply(child, d); err != nil {
 				return nil, fmt.Errorf("vmprog: check: %w", err)
@@ -719,9 +667,8 @@ func (e *Engine) Check(ctx context.Context, maxStates int) (*CheckResult, error)
 	return res, nil
 }
 
-// decisions enumerates the enabled scheduling decisions in a state.
-func (e *Engine) decisions(s *State) []tso.Decision {
-	var out []tso.Decision
+// decisions appends the enabled scheduling decisions in a state to out.
+func (e *Engine) decisions(s *State, out []tso.Decision) []tso.Decision {
 	for id := range s.Procs {
 		out = e.procDecisions(s, id, out)
 	}

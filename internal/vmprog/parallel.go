@@ -26,11 +26,12 @@ type ParallelOpts struct {
 	MaxStates int
 	// BitstateBits, when non-zero, switches CheckParallel to bitstate
 	// hashing with 1<<BitstateBits bits (two hash functions per state)
-	// instead of exact sharded seen-sets. The result is marked
-	// Probabilistic: hash collisions silently merge distinct states, so a
-	// clean pass is evidence, not proof. Violations found remain real
-	// (every schedule is replayable). Not applicable to recoverability,
-	// which needs exact state identity for co-reachability.
+	// instead of sharded seen-sets of 64-bit state fingerprints. The result
+	// is marked Probabilistic: bit collisions silently merge distinct
+	// states at rates that grow with the fill of the array, so a clean pass
+	// is evidence, not proof. Violations found remain real (every schedule
+	// is replayable). Not applicable to recoverability, whose
+	// co-reachability pass needs a graph node per state.
 	BitstateBits uint
 }
 
@@ -73,12 +74,15 @@ type pcrumb struct {
 	qidx   uint32 // index into the shard's pending next-queue
 }
 
-// pitem is a frontier entry: a state awaiting expansion in the next layer.
+// pitem is a frontier entry: a state awaiting expansion in the next layer,
+// its encoding held in its shard's frontier arena.
 type pitem struct {
-	st  *State
 	h   uint64
+	ref aref
 	id  uint32 // global dense id (recoverable mode)
-	cum []int  // real slot -> current slot; nil = identity
+	// cum maps real slots to current slots, as an index into the
+	// reducer's permutations (0 = identity).
+	cum uint16
 }
 
 // pshard is one hash partition of the seen-set. The owning worker drains its
@@ -86,7 +90,7 @@ type pitem struct {
 type pshard struct {
 	mu    sync.Mutex
 	seen  map[uint64]pcrumb // guarded by mu
-	next  []pitem           // guarded by mu
+	next  frontier[pitem]   // guarded by mu
 	count int               // guarded by mu
 	byID  []uint64          // guarded by mu; local id -> hash (recoverable mode)
 }
@@ -126,13 +130,14 @@ func (g *pgraph) lookup(h uint64) (pcrumb, bool) {
 }
 
 // insert routes a state to its owning shard and records it for the next
-// layer if unseen. When the state was already discovered in the same layer
-// from a different parent, the breadcrumb with the smallest (parent hash,
-// decision) pair wins — insertion order within a layer is scheduling-
-// dependent, the tie-break makes the surviving breadcrumb (and with it every
-// reconstructed witness) deterministic again. It returns the state's global
-// dense id (recoverable mode only).
-func (g *pgraph) insert(parentH uint64, dec uint32, child *State, h uint64, cum []int, layer int32) uint32 {
+// layer if unseen, copying its encoding enc into the shard's arena. When
+// the state was already discovered in the same layer from a different
+// parent, the breadcrumb with the smallest (parent hash, decision) pair
+// wins — insertion order within a layer is scheduling-dependent, the
+// tie-break makes the surviving breadcrumb (and with it every reconstructed
+// witness) deterministic again. It returns the state's global dense id
+// (recoverable mode only).
+func (g *pgraph) insert(parentH uint64, dec uint32, enc []uint64, h uint64, cum uint16, layer int32) uint32 {
 	s := uint32(len(g.shards))
 	idx := uint32(h % uint64(s))
 	sh := &g.shards[idx]
@@ -146,20 +151,20 @@ func (g *pgraph) insert(parentH uint64, dec uint32, child *State, h uint64, cum 
 			// the real frame through it, and a schedule whose prefix follows
 			// one route but whose suffix was translated through another lands
 			// in a symmetric image instead of the witnessed state.
-			sh.next[c.qidx].cum = cum
+			sh.next.items[c.qidx].cum = cum
 		}
 		gid := c.id*s + idx
 		sh.mu.Unlock()
 		return gid
 	}
 	local := uint32(sh.count)
-	sh.seen[h] = pcrumb{parent: parentH, dec: dec, layer: layer + 1, id: local, qidx: uint32(len(sh.next))}
+	sh.seen[h] = pcrumb{parent: parentH, dec: dec, layer: layer + 1, id: local, qidx: uint32(len(sh.next.items))}
 	sh.count++
 	if g.recov {
 		sh.byID = append(sh.byID, h)
 	}
 	gid := local*s + idx
-	sh.next = append(sh.next, pitem{st: child, h: h, id: gid, cum: cum})
+	sh.next.items = append(sh.next.items, pitem{h: h, ref: sh.next.enc.put(enc), id: gid, cum: cum})
 	sh.mu.Unlock()
 	return gid
 }
@@ -173,14 +178,37 @@ func (g *pgraph) countStates() int {
 	return total
 }
 
-// takeFronts detaches every shard's next-queue. Call only at a layer barrier.
-func (g *pgraph) takeFronts() [][]pitem {
-	fronts := make([][]pitem, len(g.shards))
+// takeFronts detaches every shard's next-queue as the next layer's fronts,
+// handing each shard the storage of done, the fronts just expanded (nil
+// before the first layer). Call only at a layer barrier.
+func (g *pgraph) takeFronts(done []frontier[pitem]) []frontier[pitem] {
+	fronts := make([]frontier[pitem], len(g.shards))
 	for i := range g.shards {
-		fronts[i] = g.shards[i].next // padvet:allow lockguard layer barrier: the coordinator runs alone, workers are parked
-		g.shards[i].next = nil       // padvet:allow lockguard layer barrier: the coordinator runs alone, workers are parked
+		var d frontier[pitem]
+		if done != nil {
+			d = done[i]
+		}
+		fronts[i] = g.shards[i].next.rotate(d) // padvet:allow lockguard layer barrier: the coordinator runs alone, workers are parked
 	}
 	return fronts
+}
+
+// insertRoot records the search's root, the canonical initial state, as
+// layer 0.
+func (g *pgraph) insertRoot(x *expander) {
+	x.root()
+	rh := x.kids[0].h
+	g.insert(rh, rootDec, x.kidEnc(0), rh, x.kids[0].perm, -1)
+}
+
+// emptyFronts reports whether a layer has nothing to expand.
+func emptyFronts[T any](fronts []frontier[T]) bool {
+	for _, f := range fronts {
+		if len(f.items) > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // path reconstructs the real-frame schedule into the state with hash h by
@@ -216,7 +244,7 @@ func (e *Engine) workerClone() *Engine {
 // pworker is one exploration worker. Counters and candidates are merged (and
 // reset) by the coordinator at every layer barrier.
 type pworker struct {
-	eng   *Engine
+	x     expander
 	g     *pgraph
 	ctx   context.Context // padvet:allow ctx-field run root: a worker lives for one Check call
 	layer int32
@@ -240,13 +268,6 @@ type pworker struct {
 	faultErr string
 }
 
-func (w *pworker) canon(s *State) (*State, []int) {
-	if w.eng.red == nil {
-		return s, nil
-	}
-	return w.eng.red.canonicalize(s)
-}
-
 func (w *pworker) tick() bool {
 	w.ticks++
 	if w.ticks&0xff == 0 {
@@ -258,74 +279,55 @@ func (w *pworker) tick() bool {
 	return true
 }
 
-// insert canonical child cc (produced from parent by d under permutation
-// perm) into the graph.
-func (w *pworker) insert(parent pitem, d tso.Decision, cc *State, perm []int) uint32 {
-	h := w.eng.hash(cc)
+// insert records kid k of the expander, a successor of it, in the graph
+// and returns its global dense id.
+func (w *pworker) insert(it pitem, k int) uint32 {
+	x := &w.x
+	h := x.kids[k].h
 	s := uint64(len(w.g.shards))
-	if h%s != parent.h%s {
+	if h%s != it.h%s {
 		w.crossShard++
 	}
-	dec := encDec(realDecision(w.eng.red, d, parent.cum))
-	return w.g.insert(parent.h, dec, cc, h, compose(perm, parent.cum, w.eng.n), w.layer)
+	d, cum := x.route(k, it.cum)
+	return w.g.insert(it.h, encDec(d), x.kidEnc(k), h, cum, w.layer)
 }
 
-// expand explores one state of the current layer (crash-free mode), applying
-// ample-set reduction with the frozen-layer proviso: the ample choice is
-// discarded iff some ample successor was first discovered in a layer <= the
-// current one. Entries inserted during the current layer carry layer+1 and
-// never trigger it, so the proviso — unlike the sequential DFS's
-// visited-at-expansion test — is independent of scheduling and worker count.
-// Soundness (C3): on any cycle of ample-expanded states, the state with the
-// maximum discovery layer L has its cycle successor discovered at a layer
-// <= L, which forces full expansion of that state, a contradiction.
-func (w *pworker) expand(it pitem) {
+// expand explores one state of the current layer (crash-free mode), its
+// encoding read from a, applying ample-set reduction with the frozen-layer
+// proviso: the ample choice is discarded iff some ample successor was first
+// discovered in a layer <= the current one. Entries inserted during the
+// current layer carry layer+1 and never trigger it, so the proviso — unlike
+// the sequential DFS's visited-at-expansion test — is independent of
+// scheduling and worker count. Soundness (C3): on any cycle of
+// ample-expanded states, the state with the maximum discovery layer L has
+// its cycle successor discovered at a layer <= L, which forces full
+// expansion of that state, a contradiction.
+func (w *pworker) expand(it pitem, a *arena) {
 	if !w.tick() {
 		return
 	}
-	e := w.eng
-	if e.Violated(it.st) {
+	x := &w.x
+	x.load(a.get(it.ref))
+	if x.eng.Violated(&x.par) {
 		if !w.viol || it.h < w.violH {
 			w.viol, w.violH = true, it.h
 		}
 		return
 	}
-	if e.red != nil {
-		if id, ok := e.ampleProcess(it.st); ok {
-			amp := e.procDecisions(it.st, id, nil)
-			kids := make([]*State, len(amp))
-			perms := make([][]int, len(amp))
-			proviso := false
-			for i, d := range amp {
-				child := it.st.Clone()
-				if err := e.Apply(child, d); err != nil {
-					w.g.fail(fmt.Errorf("vmprog: parallel check: %w", err))
-					return
-				}
-				kids[i], perms[i] = w.canon(child)
-				if c, ok := w.g.lookup(e.hash(kids[i])); ok && c.layer <= w.layer {
-					proviso = true
-				}
-			}
-			if !proviso {
-				w.ampleSteps++
-				w.transitions += len(amp)
-				for i, d := range amp {
-					w.insert(it, d, kids[i], perms[i])
-				}
-				return
-			}
-		}
+	ample, err := x.successors(func(h uint64) bool {
+		c, ok := w.g.lookup(h)
+		return ok && c.layer <= w.layer
+	})
+	if err != nil {
+		w.g.fail(fmt.Errorf("vmprog: parallel check: %w", err))
+		return
 	}
-	for _, d := range e.decisions(it.st) {
-		child := it.st.Clone()
-		if err := e.Apply(child, d); err != nil {
-			w.g.fail(fmt.Errorf("vmprog: parallel check: %w", err))
-			return
-		}
-		w.transitions++
-		cc, perm := w.canon(child)
-		w.insert(it, d, cc, perm)
+	if ample {
+		w.ampleSteps++
+	}
+	w.transitions += len(x.kids)
+	for k := range x.kids {
+		w.insert(it, k)
 	}
 }
 
@@ -335,63 +337,61 @@ func (w *pworker) expand(it pitem) {
 // for the co-reachability pass. Post-crash runtime faults become candidate
 // counterexamples; the (state hash, decision)-minimal one is selected at the
 // barrier so the reported fault is deterministic.
-func (w *pworker) expandRecov(it pitem) {
+func (w *pworker) expandRecov(it pitem, a *arena) {
 	if !w.tick() {
 		return
 	}
-	e := w.eng
-	if e.Violated(it.st) {
+	x := &w.x
+	x.load(a.get(it.ref))
+	if x.eng.Violated(&x.par) {
 		if !w.viol || it.h < w.violH {
 			w.viol, w.violH = true, it.h
 		}
 		return
 	}
-	if e.AllDone(it.st) {
+	if x.eng.AllDone(&x.par) {
 		w.doneIDs = append(w.doneIDs, it.id)
 		return
 	}
-	for _, d := range e.crashDecisions(it.st, w.crash, e.decisions(it.st)) {
-		child := it.st.Clone()
-		if err := e.Apply(child, d); err != nil {
-			if it.st.Crashes == 0 {
+	x.all(w.crash)
+	for k := range x.kids {
+		if err := x.kids[k].err; err != nil {
+			if x.par.Crashes == 0 {
 				// Crash-free faults are program bugs, not verdicts.
 				w.g.fail(fmt.Errorf("vmprog: recoverability check: %w", err))
 				return
 			}
-			rd := encDec(realDecision(e.red, d, it.cum))
+			d, _ := x.route(k, it.cum)
+			rd := encDec(d)
 			if !w.fault || it.h < w.faultH || (it.h == w.faultH && rd < w.faultDec) {
 				w.fault, w.faultH, w.faultDec, w.faultErr = true, it.h, rd, err.Error()
 			}
 			continue
 		}
 		w.transitions++
-		cc, perm := w.canon(child)
-		gid := w.insert(it, d, cc, perm)
+		gid := w.insert(it, k)
 		w.edgeFrom = append(w.edgeFrom, it.id)
 		w.edgeTo = append(w.edgeTo, gid)
 	}
 }
 
-// runLayer expands every frontier item of the current layer across the
-// workers and blocks until the layer is drained (or a worker failed). Worker
-// w drains shard w's queue first; exhausted workers steal chunks from the
-// other shards via the per-shard atomic cursors.
-func runLayer(ws []*pworker, fronts [][]pitem, layer int32, recov bool) {
-	g := ws[0].g
+// runLayer expands every frontier item of the current layer across workers
+// goroutines and blocks until the layer is drained (or stop is raised).
+// Worker w drains front w first; exhausted workers steal chunks from the
+// other fronts via the per-front atomic cursors.
+func runLayer[T any](workers int, fronts []frontier[T], stop *atomic.Bool, expand func(w int, it T, a *arena)) {
 	cursors := make([]atomic.Int64, len(fronts))
 	const chunk = 16
 	var wg sync.WaitGroup
-	for wi := range ws {
+	for wi := 0; wi < workers; wi++ {
 		wg.Add(1)
 		go func(wi int) {
 			defer wg.Done()
-			w := ws[wi]
-			w.layer = layer
 			for off := 0; off < len(fronts); off++ {
 				fi := (wi + off) % len(fronts)
-				items := fronts[fi]
+				items := fronts[fi].items
 				for {
-					if g.stop.Load() {
+					if stop.Load() {
 						return
 					}
 					start := int(cursors[fi].Add(chunk)) - chunk
@@ -403,11 +403,7 @@ func runLayer(ws []*pworker, fronts [][]pitem, layer int32, recov bool) {
 						end = len(items)
 					}
 					for k := start; k < end; k++ {
-						if recov {
-							w.expandRecov(items[k])
-						} else {
-							w.expand(items[k])
-						}
+						expand(wi, items[k], &fronts[fi].enc)
 					}
 				}
 			}
@@ -438,8 +434,9 @@ func parallelWorkers(o ParallelOpts) (workers, maxStates int) {
 // fixed program and options the verdict, the state and transition counts and
 // the reported schedule are identical for every worker count.
 //
-// With BitstateBits set the exact seen-sets are replaced by a double-hashed
-// bit array and the result is marked Probabilistic (see ParallelOpts).
+// With BitstateBits set the fingerprint seen-sets are replaced by a
+// double-hashed bit array and the result is marked Probabilistic (see
+// ParallelOpts).
 func (e *Engine) CheckParallel(ctx context.Context, o ParallelOpts) (*CheckResult, error) {
 	if o.BitstateBits > 0 {
 		return e.checkBitstate(ctx, o)
@@ -448,15 +445,16 @@ func (e *Engine) CheckParallel(ctx context.Context, o ParallelOpts) (*CheckResul
 	g := newPGraph(workers, false)
 	ws := make([]*pworker, workers)
 	for i := range ws {
-		ws[i] = &pworker{eng: e.workerClone(), g: g, ctx: ctx}
+		ws[i] = &pworker{x: expander{eng: e.workerClone()}, g: g, ctx: ctx}
 	}
 	res := &CheckResult{Complete: true}
-	root, rootPerm := ws[0].canon(ws[0].eng.Initial())
-	rh := ws[0].eng.hash(root)
-	g.insert(rh, rootDec, root, rh, rootPerm, -1)
-	fronts := g.takeFronts()
+	g.insertRoot(&ws[0].x)
+	fronts := g.takeFronts(nil)
 	for layer := int32(0); ; layer++ {
-		runLayer(ws, fronts, layer, false)
+		for _, w := range ws {
+			w.layer = layer
+		}
+		runLayer(workers, fronts, &g.stop, func(wi int, it pitem, a *arena) { ws[wi].expand(it, a) })
 		if g.err != nil { // padvet:allow lockguard layer barrier: the coordinator runs alone, workers are parked
 			return nil, g.err // padvet:allow lockguard layer barrier: the coordinator runs alone, workers are parked
 		}
@@ -482,15 +480,8 @@ func (e *Engine) CheckParallel(ctx context.Context, o ParallelOpts) (*CheckResul
 			res.Complete = false
 			return res, nil
 		}
-		fronts = g.takeFronts()
-		empty := true
-		for _, f := range fronts {
-			if len(f) > 0 {
-				empty = false
-				break
-			}
-		}
-		if empty {
+		fronts = g.takeFronts(fronts)
+		if emptyFronts(fronts) {
 			return res, nil
 		}
 	}
@@ -508,21 +499,22 @@ func (e *Engine) CheckParallel(ctx context.Context, o ParallelOpts) (*CheckResul
 // (layer, hash)-minimal non-co-reachable state.
 func (e *Engine) CheckRecoverableParallel(ctx context.Context, o ParallelOpts, crash CrashOpts) (*RecovResult, error) {
 	if o.BitstateBits > 0 {
-		return nil, errors.New("vmprog: bitstate hashing cannot decide recoverability: co-reachability needs exact state identity")
+		return nil, errors.New("vmprog: bitstate hashing cannot decide recoverability: co-reachability needs a graph node per state")
 	}
 	workers, maxStates := parallelWorkers(o)
 	g := newPGraph(workers, true)
 	ws := make([]*pworker, workers)
 	for i := range ws {
-		ws[i] = &pworker{eng: e.workerClone(), g: g, ctx: ctx, crash: crash}
+		ws[i] = &pworker{x: expander{eng: e.workerClone()}, g: g, ctx: ctx, crash: crash}
 	}
 	res := &RecovResult{}
-	root, rootPerm := ws[0].canon(ws[0].eng.Initial())
-	rh := ws[0].eng.hash(root)
-	g.insert(rh, rootDec, root, rh, rootPerm, -1)
-	fronts := g.takeFronts()
+	g.insertRoot(&ws[0].x)
+	fronts := g.takeFronts(nil)
 	for layer := int32(0); ; layer++ {
-		runLayer(ws, fronts, layer, true)
+		for _, w := range ws {
+			w.layer = layer
+		}
+		runLayer(workers, fronts, &g.stop, func(wi int, it pitem, a *arena) { ws[wi].expandRecov(it, a) })
 		if g.err != nil { // padvet:allow lockguard layer barrier: the coordinator runs alone, workers are parked
 			return nil, g.err // padvet:allow lockguard layer barrier: the coordinator runs alone, workers are parked
 		}
@@ -556,15 +548,8 @@ func (e *Engine) CheckRecoverableParallel(ctx context.Context, o ParallelOpts, c
 		if res.States > maxStates {
 			return res, nil // Complete stays false: no verdict
 		}
-		fronts = g.takeFronts()
-		empty := true
-		for _, f := range fronts {
-			if len(f) > 0 {
-				empty = false
-				break
-			}
-		}
-		if empty {
+		fronts = g.takeFronts(fronts)
+		if emptyFronts(fronts) {
 			break
 		}
 	}

@@ -17,12 +17,16 @@ type reducer struct {
 	e   *Engine
 	f   *PruneFacts
 	sym *SymmetryFacts // nil: no symmetry canonicalization
-	// perms enumerates S_n with the identity first.
-	perms [][]int
+	// perms enumerates S_n with the identity first and invs holds their
+	// inverses. The frontier engines name a permutation by its index in
+	// perms; rank maps a permutation's lexicographic rank to that index.
+	perms, invs [][]int
+	rank        []uint16
 	// candR/candW are the ample candidate's read/write footprint scratch.
 	candR, candW []uint64
-	// encA/encB are state-encoding scratch for the min-lex comparison.
-	encA, encB []uint64
+	// encA/encB are state-encoding scratch for the min-lex comparison, mem
+	// the permuted memory image, out CanonicalState's encoding.
+	encA, encB, mem, out []uint64
 }
 
 func newReducer(e *Engine, f *PruneFacts) *reducer {
@@ -33,6 +37,16 @@ func newReducer(e *Engine, f *PruneFacts) *reducer {
 	if f.Symmetry != nil && e.n <= maxSymmetryN {
 		r.sym = f.Symmetry
 		r.perms = permutations(e.n)
+		r.invs = make([][]int, len(r.perms))
+		r.rank = make([]uint16, len(r.perms))
+		for i, p := range r.perms {
+			r.invs[i] = make([]int, len(p))
+			for j, k := range p {
+				r.invs[i][k] = j
+			}
+			r.rank[lexRank(p)] = uint16(i)
+		}
+		r.mem = make([]uint64, len(e.prog.Vars))
 	}
 	return r
 }
@@ -58,6 +72,22 @@ func permutations(n int) [][]int {
 	}
 	rec(0)
 	return out
+}
+
+// lexRank returns the rank of the permutation p in the lexicographic order
+// of S_len(p): its Lehmer code read in the factorial number system.
+func lexRank(p []int) int {
+	r := 0
+	for i := range p {
+		c := 0
+		for _, q := range p[i+1:] {
+			if q < p[i] {
+				c++
+			}
+		}
+		r = r*(len(p)-i) + c
+	}
+	return r
 }
 
 func setBit(b []uint64, i int)      { b[i/64] |= 1 << (i % 64) }
@@ -248,22 +278,6 @@ func (r *reducer) applyPerm(s *State, perm []int) *State {
 	return ns
 }
 
-// encode appends an injective flat encoding of s to dst (the same fields the
-// engine hashes, unhashed) for lexicographic comparison.
-func encode(dst []uint64, s *State) []uint64 {
-	dst = append(dst, s.Mem...)
-	for i := range s.Procs {
-		p := &s.Procs[i]
-		dst = append(dst, pflags(p))
-		dst = append(dst, p.Regs[:]...)
-		dst = append(dst, uint64(len(p.Buf)))
-		for _, b := range p.Buf {
-			dst = append(dst, uint64(b.v), b.x)
-		}
-	}
-	return dst
-}
-
 func lexLess(a, b []uint64) bool {
 	for i := range a {
 		if a[i] != b[i] {
@@ -277,7 +291,9 @@ func lexLess(a, b []uint64) bool {
 // zeroed, then - when symmetry facts are installed - the minimum of the
 // orbit of s under S_n in the lexicographic order of the flat encoding. It
 // returns the representative and the permutation that produced it (nil for
-// the identity). s is consumed and may be mutated or returned.
+// the identity). s is consumed and may be mutated or returned. It is the
+// State-level reference the sequential engines use; the frontier engines
+// and CanonicalState reach the same representative through canonEncode.
 func (r *reducer) canonicalize(s *State) (*State, []int) {
 	r.zeroDead(s)
 	if r.sym == nil {
@@ -296,6 +312,84 @@ func (r *reducer) canonicalize(s *State) (*State, []int) {
 	return best, bestPerm
 }
 
+// canonEncode appends the canonical encoding of s to dst: the flat encoding
+// with dead registers read as zero and, when symmetry facts are installed,
+// the lexicographic minimum over the orbit of s under S_n. It returns the
+// extended slice and the index in r.perms of the permutation that produced
+// the minimum (0, the identity, when none is smaller). It computes what
+// encode(canonicalize(s)) computes, without building a State per
+// permutation, and leaves s unmodified.
+func (r *reducer) canonEncode(dst []uint64, s *State) ([]uint64, uint16) {
+	if r.sym == nil {
+		return encodeLive(dst, s, r.f.LiveRegs), 0
+	}
+	r.encA = encodeLive(r.encA[:0], s, r.f.LiveRegs)
+	best := uint16(0)
+	for pi := 1; pi < len(r.perms); pi++ {
+		if r.permLess(s, pi) {
+			r.encA, r.encB = r.encB, r.encA
+			best = uint16(pi)
+		}
+	}
+	return append(dst, r.encA...), best
+}
+
+// permLess writes into r.encB the encoding of the image of s under
+// r.perms[pi] - what encode(applyPerm(s, perm)) yields - and reports whether
+// it is lexicographically smaller than r.encA. It stops at the first memory
+// image or process slot that settles the image as not smaller.
+func (r *reducer) permLess(s *State, pi int) bool {
+	sym, perm, inv := r.sym, r.perms[pi], r.invs[pi]
+	clear(r.mem)
+	for v, x := range s.Mem {
+		r.mem[sym.CellForms[v].apply(uint64(v), perm)] = sym.ValForms[v].apply(x, perm)
+	}
+	out := append(r.encB[:0], r.mem...)
+	k, c := cmpFrom(out, r.encA, 0)
+	// Slot j holds process inv[j], its registers rewritten through the forms
+	// at its PC and its buffered writes relabeled in order. Once the image
+	// is smaller it is written out whole: it becomes the new minimum.
+	for j := 0; j < len(inv) && c <= 0; j++ {
+		p := &s.Procs[inv[j]]
+		out = append(out, pflags(p))
+		live, forms := r.f.LiveRegs[p.PC], sym.RegForms[p.PC]
+		for reg, x := range p.Regs {
+			if live&(1<<reg) == 0 {
+				x = 0
+			} else {
+				x = forms[reg].apply(x, perm)
+			}
+			out = append(out, x)
+		}
+		out = append(out, uint64(len(p.Buf)))
+		for _, b := range p.Buf {
+			out = append(out, sym.CellForms[b.v].apply(uint64(b.v), perm), sym.ValForms[b.v].apply(b.x, perm))
+		}
+		if c == 0 {
+			k, c = cmpFrom(out, r.encA, k)
+		}
+	}
+	r.encB = out
+	return c < 0
+}
+
+// cmpFrom compares a with b from index k on, given a[:k] == b[:k], up to
+// the end of a. It returns the index of the first difference (len(a) when
+// there is none) and -1, 0 or +1 as a is smaller, equal so far or larger.
+// b is a complete encoding of the same program, so the self-delimiting
+// layout keeps b[k] in range wherever a[:k] == b[:k].
+func cmpFrom(a, b []uint64, k int) (int, int) {
+	for ; k < len(a); k++ {
+		if a[k] != b[k] {
+			if a[k] < b[k] {
+				return k, -1
+			}
+			return k, 1
+		}
+	}
+	return k, 0
+}
+
 // compose chains two slot maps: first cum, then perm (nil is the identity).
 // The result maps a real slot to its slot after both.
 func compose(perm, cum []int, n int) []int {
@@ -312,11 +406,25 @@ func compose(perm, cum []int, n int) []int {
 	return out
 }
 
+// compose is compose on indices into r.perms (0 is the identity).
+func (r *reducer) compose(perm, cum uint16) uint16 {
+	if perm == 0 {
+		return cum
+	}
+	if cum == 0 {
+		return perm
+	}
+	p, c := r.perms[perm], r.perms[cum]
+	var out [maxSymmetryN]int
+	for i, j := range c {
+		out[i] = p[j]
+	}
+	return r.rank[lexRank(out[:len(c)])]
+}
+
 // realDecision translates a decision taken in the canonical frame of a node
 // with cumulative permutation cum back into the real (initial) frame, so
-// recorded schedules replay against an unreduced engine: the acting process
-// is the cum-preimage of the canonical slot, and a PSO commit's variable is
-// pulled back through the cell forms under the inverse permutation.
+// recorded schedules replay against an unreduced engine.
 func realDecision(r *reducer, d tso.Decision, cum []int) tso.Decision {
 	if cum == nil {
 		return d
@@ -325,6 +433,22 @@ func realDecision(r *reducer, d tso.Decision, cum []int) tso.Decision {
 	for i, j := range cum {
 		inv[j] = i
 	}
+	return r.pullBack(d, inv)
+}
+
+// realDec is realDecision for a cumulative permutation given as an index
+// into r.perms (0 is the identity).
+func (r *reducer) realDec(d tso.Decision, cum uint16) tso.Decision {
+	if cum == 0 {
+		return d
+	}
+	return r.pullBack(d, r.invs[cum])
+}
+
+// pullBack maps a decision through the inverse inv of a cumulative
+// permutation: the acting process is the preimage of the canonical slot,
+// and a PSO commit's variable is pulled back through the cell forms.
+func (r *reducer) pullBack(d tso.Decision, inv []int) tso.Decision {
 	d.P = tso.ProcID(inv[int(d.P)])
 	if d.Commit && d.VarPlus1 > 0 {
 		v := d.VarPlus1 - 1
@@ -349,12 +473,22 @@ func (e *Engine) PermuteState(s *State, perm []int) *State {
 
 // CanonicalState returns the canonical representative of s and the
 // permutation that produced it (nil for the identity). Without installed
-// facts s is returned unchanged. The input is not mutated.
+// facts s is returned unchanged. The input is not mutated. The
+// representative is built once, from its canonical encoding; no other
+// member of the orbit is materialized.
 func (e *Engine) CanonicalState(s *State) (*State, []int) {
-	if e.red == nil {
+	r := e.red
+	if r == nil {
 		return s, nil
 	}
-	return e.red.canonicalize(s.Clone())
+	var pi uint16
+	r.out, pi = r.canonEncode(r.out[:0], s)
+	c := &State{}
+	decode(c, r.out, len(e.prog.Vars), e.n)
+	if pi == 0 {
+		return c, nil
+	}
+	return c, r.perms[pi]
 }
 
 // PermuteVar returns the memory cell that receives variable v's content
