@@ -284,6 +284,56 @@ func TestConstructionSyntheticWithFullChecksAtLargerN(t *testing.T) {
 	}
 }
 
+// The simulator keeps awareness and accessor sets as bitsets of ⌈N/64⌉
+// words. The two tests below run the construction past one word, so an
+// indexing slip in the second or third word changes a pinned count or trips
+// a lemma check here rather than only in the N=256 benchmark.
+
+func TestConstructionBeyondOneWordN130(t *testing.T) {
+	res, err := Run(context.Background(), Config{
+		N:         130,
+		Algorithm: mutex.Build(mutex.NewSynthetic),
+		F:         bounds.Affine{A: 16, C: 10},
+		Check:     CheckNone,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stopped != StopActiveExhausted {
+		t.Fatalf("stopped = %v, want %v", res.Stopped, StopActiveExhausted)
+	}
+	if res.FencesForced != 129 {
+		t.Errorf("forced = %d, want 129", res.FencesForced)
+	}
+	if !res.WitnessVerified || res.WitnessParticipants != 130 {
+		t.Errorf("witness verified=%t participants=%d, want verified with 130", res.WitnessVerified, res.WitnessParticipants)
+	}
+	if res.Events != 112385 {
+		t.Errorf("events = %d, want 112385", res.Events)
+	}
+}
+
+func TestConstructionCheckedTwoWordsN65(t *testing.T) {
+	if testing.Short() {
+		t.Skip("invariant checks at N=65")
+	}
+	res, err := Run(context.Background(), Config{
+		N:         65,
+		Algorithm: mutex.Build(mutex.NewSynthetic),
+		F:         bounds.Affine{A: 16, C: 10},
+		Check:     CheckInvariants,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Certificate != nil || res.Violation != nil {
+		t.Fatalf("unexpected failure: %+v", res)
+	}
+	if res.FencesForced != 64 || !res.WitnessVerified {
+		t.Errorf("forced = %d, witness verified = %t; want 64 and verified", res.FencesForced, res.WitnessVerified)
+	}
+}
+
 func TestConstructionAgainstVMPrograms(t *testing.T) {
 	// VM lock programs are first-class victims: the construction drives
 	// the adapted bakery VM program to a non-adaptivity certificate just

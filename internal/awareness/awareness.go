@@ -204,19 +204,21 @@ func checkIN4(sim *tso.Simulator, act map[tso.ProcID]bool) error {
 }
 
 // checkIN5: if more than one active process accessed v, its last writer is
-// not invisible.
+// not invisible. The last-writer test is the cheap one, so accessors are
+// counted only for variables an invisible process wrote last.
 func checkIN5(sim *tso.Simulator, inv, act map[tso.ProcID]bool) error {
 	for _, v := range sim.Memory().Vars() {
+		w, ok := sim.LastWriter(v)
+		if !ok || !inv[w] {
+			continue
+		}
 		activeAccessors := 0
 		for _, p := range sim.AccessedBy(v) {
 			if act[p] {
 				activeAccessors++
 			}
 		}
-		if activeAccessors <= 1 {
-			continue
-		}
-		if w, ok := sim.LastWriter(v); ok && inv[w] {
+		if activeAccessors > 1 {
 			return &PropertyError{
 				Property: "IN5",
 				Detail: fmt.Sprintf("%s accessed by %d active processes but last written by invisible p%d",

@@ -6,27 +6,29 @@
 package graphs
 
 import (
-	"sort"
+	"slices"
 
 	"priceadaptive/internal/tso"
 )
 
 // Graph is an undirected graph whose vertices are process IDs. Self-loops
-// and duplicate edges are ignored.
+// and duplicate edges are ignored. Internally a vertex is its position in
+// the sorted vertex list, and adjacency is a list of positions per vertex.
 type Graph struct {
-	adj   map[tso.ProcID]map[tso.ProcID]bool
-	verts []tso.ProcID
+	verts []tso.ProcID       // sorted, unique
+	pos   map[tso.ProcID]int // vertex -> position in verts
+	adj   [][]int            // adj[i]: positions of the neighbours of verts[i]
 	edges int
 }
 
 // New returns a graph over the given vertex set.
 func New(vertices []tso.ProcID) *Graph {
-	g := &Graph{adj: make(map[tso.ProcID]map[tso.ProcID]bool, len(vertices))}
-	g.verts = make([]tso.ProcID, len(vertices))
-	copy(g.verts, vertices)
-	sort.Slice(g.verts, func(i, j int) bool { return g.verts[i] < g.verts[j] })
-	for _, v := range g.verts {
-		g.adj[v] = make(map[tso.ProcID]bool)
+	verts := slices.Clone(vertices)
+	slices.Sort(verts)
+	verts = slices.Compact(verts)
+	g := &Graph{verts: verts, pos: make(map[tso.ProcID]int, len(verts)), adj: make([][]int, len(verts))}
+	for i, v := range verts {
+		g.pos[v] = i
 	}
 	return g
 }
@@ -35,22 +37,16 @@ func New(vertices []tso.ProcID) *Graph {
 // set and self-loops are ignored, matching the construction's habit of
 // "adding an edge {p, q} if such a q exists".
 func (g *Graph) AddEdge(u, v tso.ProcID) {
-	if u == v {
+	iu, ok := g.pos[u]
+	if !ok || u == v {
 		return
 	}
-	au, ok := g.adj[u]
-	if !ok {
+	iv, ok := g.pos[v]
+	if !ok || slices.Contains(g.adj[iu], iv) {
 		return
 	}
-	av, ok := g.adj[v]
-	if !ok {
-		return
-	}
-	if au[v] {
-		return
-	}
-	au[v] = true
-	av[u] = true
+	g.adj[iu] = append(g.adj[iu], iv)
+	g.adj[iv] = append(g.adj[iv], iu)
 	g.edges++
 }
 
@@ -61,7 +57,13 @@ func (g *Graph) NumVertices() int { return len(g.verts) }
 func (g *Graph) NumEdges() int { return g.edges }
 
 // Degree returns the degree of v.
-func (g *Graph) Degree(v tso.ProcID) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v tso.ProcID) int {
+	i, ok := g.pos[v]
+	if !ok {
+		return 0
+	}
+	return len(g.adj[i])
+}
 
 // AverageDegree returns 2|E|/|V|, or 0 for the empty graph.
 func (g *Graph) AverageDegree() float64 {
@@ -72,7 +74,14 @@ func (g *Graph) AverageDegree() float64 {
 }
 
 // HasEdge reports whether {u, v} is an edge.
-func (g *Graph) HasEdge(u, v tso.ProcID) bool { return g.adj[u][v] }
+func (g *Graph) HasEdge(u, v tso.ProcID) bool {
+	iu, ok := g.pos[u]
+	if !ok {
+		return false
+	}
+	iv, ok := g.pos[v]
+	return ok && slices.Contains(g.adj[iu], iv)
+}
 
 // TuranBound returns the independent-set size guaranteed by Turán's theorem:
 // ceil(|V| / (d+1)) where d is the average degree.
@@ -94,45 +103,45 @@ func (g *Graph) TuranBound() int {
 // ascending. Ties are broken by smallest ID, so the routine is
 // deterministic.
 func (g *Graph) IndependentSet() []tso.ProcID {
-	// Work on a mutable copy of the degree structure.
-	deg := make(map[tso.ProcID]int, len(g.verts))
-	alive := make(map[tso.ProcID]bool, len(g.verts))
-	for _, v := range g.verts {
-		deg[v] = len(g.adj[v])
-		alive[v] = true
+	n := len(g.verts)
+	deg := make([]int, n)
+	alive := make([]bool, n)
+	chosen := make([]bool, n)
+	for i := range deg {
+		deg[i] = len(g.adj[i])
+		alive[i] = true
+	}
+	remaining := n
+	remove := func(i int) {
+		alive[i] = false
+		remaining--
+		for _, w := range g.adj[i] {
+			if alive[w] {
+				deg[w]--
+			}
+		}
+	}
+	for remaining > 0 {
+		// Positions ascend with IDs, so the first minimum is the smallest ID.
+		best := -1
+		for i := range deg {
+			if alive[i] && (best < 0 || deg[i] < deg[best]) {
+				best = i
+			}
+		}
+		chosen[best] = true
+		remove(best)
+		for _, u := range g.adj[best] {
+			if alive[u] {
+				remove(u)
+			}
+		}
 	}
 	var out []tso.ProcID
-	remaining := len(g.verts)
-	for remaining > 0 {
-		// Find the minimum-degree alive vertex (smallest ID on ties).
-		best := tso.ProcID(-1)
-		bestDeg := -1
-		for _, v := range g.verts {
-			if !alive[v] {
-				continue
-			}
-			if bestDeg < 0 || deg[v] < bestDeg || (deg[v] == bestDeg && v < best) {
-				best, bestDeg = v, deg[v]
-			}
-		}
-		out = append(out, best)
-		// Remove best and its neighbourhood.
-		kill := []tso.ProcID{best}
-		for u := range g.adj[best] {
-			if alive[u] {
-				kill = append(kill, u)
-			}
-		}
-		for _, u := range kill {
-			alive[u] = false
-			remaining--
-			for w := range g.adj[u] {
-				if alive[w] {
-					deg[w]--
-				}
-			}
+	for i, c := range chosen {
+		if c {
+			out = append(out, g.verts[i])
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

@@ -2,6 +2,7 @@ package graphs
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -150,5 +151,77 @@ func TestTuranBoundQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// mapGreedy is a reference for IndependentSet over maps keyed by process
+// ID: repeatedly take the alive vertex of minimum remaining degree
+// (smallest ID on ties) and delete it with its neighbourhood.
+func mapGreedy(verts []tso.ProcID, edges [][2]tso.ProcID) []tso.ProcID {
+	adj := map[tso.ProcID]map[tso.ProcID]bool{}
+	for _, v := range verts {
+		adj[v] = map[tso.ProcID]bool{}
+	}
+	for _, e := range edges {
+		if e[0] != e[1] {
+			adj[e[0]][e[1]] = true
+			adj[e[1]][e[0]] = true
+		}
+	}
+	deg := map[tso.ProcID]int{}
+	alive := map[tso.ProcID]bool{}
+	for _, v := range verts {
+		deg[v] = len(adj[v])
+		alive[v] = true
+	}
+	var out []tso.ProcID
+	for len(alive) > 0 {
+		best := tso.ProcID(-1)
+		for v := range alive {
+			if best < 0 || deg[v] < deg[best] || (deg[v] == deg[best] && v < best) {
+				best = v
+			}
+		}
+		out = append(out, best)
+		kill := []tso.ProcID{best}
+		for u := range adj[best] {
+			if alive[u] {
+				kill = append(kill, u)
+			}
+		}
+		for _, u := range kill {
+			delete(alive, u)
+			for w := range adj[u] {
+				if alive[w] {
+					deg[w]--
+				}
+			}
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+func TestIndependentSetMatchesMapGreedy(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		// Sparse vertex IDs, given out of order, so positions and IDs
+		// differ.
+		n := 1 + rng.Intn(80)
+		verts := rng.Perm(3 * n)[:n]
+		ps := make([]tso.ProcID, n)
+		for i, v := range verts {
+			ps[i] = tso.ProcID(v)
+		}
+		g := New(ps)
+		var edges [][2]tso.ProcID
+		for e := rng.Intn(3 * n); e > 0; e-- {
+			u, v := ps[rng.Intn(n)], ps[rng.Intn(n)]
+			g.AddEdge(u, v)
+			edges = append(edges, [2]tso.ProcID{u, v})
+		}
+		if got, want := g.IndependentSet(), mapGreedy(ps, edges); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: IndependentSet = %v, reference %v", trial, got, want)
+		}
 	}
 }

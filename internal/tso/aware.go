@@ -1,59 +1,58 @@
 package tso
 
-import "sort"
+import "math/bits"
 
-// awSet is a small sparse set of process IDs used for awareness tracking
-// (Definition 1). Awareness sets in the lower-bound construction stay tiny
-// (a process is aware of itself and of finished processes only), so a sorted
-// slice beats a bitset of width N.
-type awSet struct {
-	ids []ProcID // sorted, unique
+// bitset is a set of small non-negative integers, one bit per member in
+// 64-bit words. It backs every set the simulator updates per event: the
+// awareness sets of Definition 1 and the per-variable accessor sets (over
+// process IDs, so ⌈N/64⌉ words), and the per-process remote-read sets (over
+// variable indices).
+//
+// Awareness sets do not stay small: in the lower-bound construction a
+// process becomes aware of every finished process, so at N=256 a set holds
+// up to 255 IDs, and every read takes a union and every write a snapshot.
+// As words, a union is ⌈N/64⌉ ORs and a snapshot a copy of as many words,
+// whatever the sets hold.
+type bitset []uint64
+
+// newBitset returns an empty set that holds 0..n-1 without growing.
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+// has reports whether i is a member; a negative i never is.
+func (s bitset) has(i int) bool {
+	w := uint(i) >> 6
+	return w < uint(len(s)) && s[w]&(1<<(uint(i)&63)) != 0
 }
 
-// newAWSet returns the singleton awareness set {p}: every process is aware
-// of itself.
-func newAWSet(p ProcID) awSet {
-	return awSet{ids: []ProcID{p}}
-}
-
-// has reports membership.
-func (s awSet) has(p ProcID) bool {
-	i := sort.Search(len(s.ids), func(i int) bool { return s.ids[i] >= p })
-	return i < len(s.ids) && s.ids[i] == p
-}
-
-// clone returns an independent copy.
-func (s awSet) clone() awSet {
-	out := make([]ProcID, len(s.ids))
-	copy(out, s.ids)
-	return awSet{ids: out}
-}
-
-// union merges o into s, returning the (possibly grown) receiver. The
-// receiver's backing array may be reused, so callers that need the old value
-// must clone first.
-func (s awSet) union(o awSet) awSet {
-	for _, p := range o.ids {
-		s = s.add(p)
+// set adds i, widening the set if it is too narrow to hold it.
+func (s *bitset) set(i int) {
+	w := i >> 6
+	for len(*s) <= w {
+		*s = append(*s, 0)
 	}
-	return s
+	(*s)[w] |= 1 << (uint(i) & 63)
 }
 
-// add inserts p, keeping the slice sorted.
-func (s awSet) add(p ProcID) awSet {
-	i := sort.Search(len(s.ids), func(i int) bool { return s.ids[i] >= p })
-	if i < len(s.ids) && s.ids[i] == p {
-		return s
+// or merges o into s in place. s must be at least as wide as o, which holds
+// for sets sized by newBitset with the same n.
+func (s bitset) or(o bitset) {
+	for i, w := range o {
+		s[i] |= w
 	}
-	s.ids = append(s.ids, 0)
-	copy(s.ids[i+1:], s.ids[i:])
-	s.ids[i] = p
-	return s
 }
 
-// size returns the cardinality of the set.
-func (s awSet) size() int { return len(s.ids) }
-
-// members returns the members in ascending order. The returned slice aliases
-// the set and must not be modified.
-func (s awSet) members() []ProcID { return s.ids }
+// members returns the members in ascending order, as process IDs.
+func (s bitset) members() []ProcID {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	out := make([]ProcID, 0, n)
+	for i, w := range s {
+		for w != 0 {
+			out = append(out, ProcID(i<<6+bits.TrailingZeros64(w)))
+			w &= w - 1
+		}
+	}
+	return out
+}

@@ -6,7 +6,7 @@ package tso
 type bufferedWrite struct {
 	v  *Var
 	x  uint64
-	aw awSet
+	aw bitset
 }
 
 // writeBuffer models the per-process TSO write buffer: a FIFO with at most
@@ -22,16 +22,18 @@ func (b *writeBuffer) empty() bool { return len(b.entries) == 0 }
 // size returns the number of buffered writes.
 func (b *writeBuffer) size() int { return len(b.entries) }
 
-// push records a write of x to v, coalescing with an existing write to v.
-func (b *writeBuffer) push(v *Var, x uint64, aw awSet) {
+// push records a write of x to v with a snapshot of the issuer's awareness
+// aw, coalescing with an existing write to v (whose snapshot the new one
+// replaces in place).
+func (b *writeBuffer) push(v *Var, x uint64, aw bitset) {
 	for i := range b.entries {
 		if b.entries[i].v.index == v.index {
 			b.entries[i].x = x
-			b.entries[i].aw = aw
+			copy(b.entries[i].aw, aw)
 			return
 		}
 	}
-	b.entries = append(b.entries, bufferedWrite{v: v, x: x, aw: aw})
+	b.entries = append(b.entries, bufferedWrite{v: v, x: x, aw: append(bitset(nil), aw...)})
 }
 
 // head returns the oldest buffered write without removing it. It must not be

@@ -3,7 +3,6 @@ package tso
 import (
 	"fmt"
 	"runtime"
-	"sync/atomic"
 )
 
 // Section is the mutual-exclusion section a process is in (the value of the
@@ -144,9 +143,13 @@ func (o Op) String() string {
 }
 
 // opResult carries the outcome of a granted operation back to the program.
+// A grant with retire set carries no outcome: it tells the parked goroutine
+// that its incarnation is over (the process crashed or the simulator was
+// killed) and that it must exit.
 type opResult struct {
-	val uint64
-	ok  bool
+	val    uint64
+	ok     bool
+	retire bool
 }
 
 // PassageStats summarizes one completed or in-progress passage of a process.
@@ -166,25 +169,6 @@ type PassageStats struct {
 	Crashed bool
 }
 
-// procChans is one incarnation's rendezvous channels between the program
-// goroutine and the simulator. A crash retires the incarnation by closing
-// crash (the parked goroutine exits) and installing a fresh set for the
-// recovery goroutine; each goroutine only ever touches the set it was
-// spawned with.
-type procChans struct {
-	post  chan Op
-	res   chan opResult
-	crash chan struct{}
-}
-
-func newProcChans() *procChans {
-	return &procChans{
-		post:  make(chan Op),
-		res:   make(chan opResult),
-		crash: make(chan struct{}),
-	}
-}
-
 // Proc is the per-process handle through which algorithm code performs
 // shared-memory operations. All methods block until the simulator grants the
 // operation; they must only be called from the program goroutine the
@@ -193,15 +177,21 @@ type Proc struct {
 	id  ProcID
 	sim *Simulator
 
-	// chans holds the current incarnation's rendezvous channels. It is an
-	// atomic pointer because Crash swaps it while the retiring program
-	// goroutine may be between its post and its wait in request.
-	chans atomic.Pointer[procChans]
+	// post and grant are the handoff between the program goroutine and the
+	// simulator: the goroutine sends each operation on post and then parks
+	// on grant until the simulator applies it (see request). Successive
+	// incarnations of a crashed process share them, because the retiring
+	// goroutine has taken its retire grant before the next one starts.
+	post  chan Op
+	grant chan opResult
 
 	// simulator-owned state; the program goroutine never touches these.
 	started bool
 	done    bool
 	crashed bool
+	// parked reports that a program goroutine is waiting on grant (see
+	// Simulator.grant for the invariant it tracks).
+	parked  bool
 	crashes int
 	// recovering is set while the current incarnation was spawned by a
 	// Recover transition and has not yet passed its (implicit) Enter; the
@@ -213,10 +203,10 @@ type Proc struct {
 	buf        writeBuffer
 	section    Section
 	mode       Mode
-	aw         awSet
-	// remoteRead marks variables this process has remotely read, for the
-	// "first remote read" half of Definition 2.
-	remoteRead map[int]bool
+	aw         bitset
+	// remoteRead marks, by variable index, the variables this process has
+	// remotely read, for the "first remote read" half of Definition 2.
+	remoteRead bitset
 	// fences counts completed fences (EndFence events) over the whole run.
 	fences int
 	// passage is the index of the current (or next) passage.
@@ -274,28 +264,14 @@ func (p *Proc) CS() {
 	p.request(Op{Kind: OpCS})
 }
 
-// request posts op and blocks until the simulator grants it. If the
-// simulator is killed, or this incarnation crashes, while the process is
-// parked, the goroutine exits. The channel set is loaded once per request:
-// a crash can only happen while the simulator is idle, i.e. after the post
-// was received, so the retiring goroutine always waits on its own
-// incarnation's channels and exits via their crash channel.
+// request posts op and blocks until the simulator grants it. A retire grant
+// (the process crashed or the simulator was killed while the goroutine was
+// parked) ends the goroutine instead.
 func (p *Proc) request(op Op) opResult {
-	ch := p.chans.Load()
-	select {
-	case ch.post <- op:
-	case <-ch.crash:
-		runtime.Goexit()
-	case <-p.sim.killCh:
+	p.post <- op
+	r := <-p.grant
+	if r.retire {
 		runtime.Goexit()
 	}
-	select {
-	case r := <-ch.res:
-		return r
-	case <-ch.crash:
-		runtime.Goexit()
-	case <-p.sim.killCh:
-		runtime.Goexit()
-	}
-	panic("unreachable")
+	return r
 }

@@ -95,14 +95,14 @@ type Simulator struct {
 	procs []*Proc
 	exec  Execution
 
-	killCh chan struct{}
 	killed bool
 	wg     sync.WaitGroup
 
-	// Per-variable execution state, indexed by Var.Index.
-	lastWriter []int   // committing process, or -1 for ⊥
-	varAW      []awSet // awareness carried by the last committed write
-	accessed   []map[ProcID]bool
+	// Per-variable execution state, indexed by Var.Index. The sets are nil
+	// until the variable's first committed write or access.
+	lastWriter []int    // committing process, or -1 for ⊥
+	varAW      []bitset // awareness carried by the last committed write
+	accessed   []bitset // processes that accessed the variable
 
 	actCount  int
 	finished  map[ProcID]bool
@@ -134,7 +134,6 @@ func NewSimulator(cfg Config, build Build) (*Simulator, error) {
 		cfg:      cfg,
 		build:    build,
 		mem:      newMemory(cfg.Model),
-		killCh:   make(chan struct{}),
 		finished: make(map[ProcID]bool),
 		panicErr: make(map[ProcID]string),
 		sink:     cfg.Sink,
@@ -142,14 +141,15 @@ func NewSimulator(cfg Config, build Build) (*Simulator, error) {
 	s.procs = make([]*Proc, cfg.N)
 	for i := range s.procs {
 		p := &Proc{
-			id:         ProcID(i),
-			sim:        s,
-			section:    NCS,
-			mode:       ModeRead,
-			aw:         newAWSet(ProcID(i)),
-			remoteRead: make(map[int]bool),
+			id:      ProcID(i),
+			sim:     s,
+			post:    make(chan Op),
+			grant:   make(chan opResult),
+			section: NCS,
+			mode:    ModeRead,
+			aw:      newBitset(cfg.N),
 		}
-		p.chans.Store(newProcChans())
+		p.aw.set(i)
 		s.procs[i] = p
 	}
 	prog, err := build(s)
@@ -167,7 +167,7 @@ func NewSimulator(cfg Config, build Build) (*Simulator, error) {
 func (s *Simulator) growVarState() {
 	for len(s.lastWriter) < s.mem.NumVars() {
 		s.lastWriter = append(s.lastWriter, -1)
-		s.varAW = append(s.varAW, awSet{})
+		s.varAW = append(s.varAW, nil)
 		s.accessed = append(s.accessed, nil)
 	}
 }
@@ -197,8 +197,33 @@ func (s *Simulator) Kill() {
 		return
 	}
 	s.killed = true
-	close(s.killCh)
+	for _, p := range s.procs {
+		if p.parked {
+			s.grant(p, opResult{retire: true})
+		}
+	}
 	s.wg.Wait()
+}
+
+// grant hands r to p's parked program goroutine and returns once the
+// goroutine has taken it.
+//
+// The handoff rests on one invariant: between driving calls, every started,
+// unfinished, uncrashed process has exactly one program goroutine parked on
+// its grant channel (the one whose post receivePost took last), and no
+// other process has any. Enter and Recover spawn the goroutine and wait for
+// its first post; a grant lets it run to its next post, which the simulator
+// waits for before returning; a finished goroutine returns after posting
+// OpDone; a crashed or killed one exits on its retire grant. So the
+// simulator never waits on more than one goroutine, and needs no select.
+// p.parked records the invariant at the channel operations themselves, so a
+// grant with no goroutine to take it panics instead of deadlocking.
+func (s *Simulator) grant(p *Proc, r opResult) {
+	if !p.parked {
+		panic(fmt.Sprintf("tso: grant to p%d, which has no parked goroutine", p.id))
+	}
+	p.parked = false
+	p.grant <- r
 }
 
 // remote reports whether v is remote with respect to process id.
@@ -237,11 +262,11 @@ func (s *Simulator) PendingCritical(id ProcID) bool {
 		if _, buffered := p.buf.lookup(op.Var); buffered {
 			return false
 		}
-		return s.remote(id, op.Var) && !p.remoteRead[op.Var.index]
+		return s.remote(id, op.Var) && !p.remoteRead.has(op.Var.index)
 	case OpCommit:
 		return s.lastWriter[op.Var.index] != int(id)
 	case OpCAS:
-		if s.remote(id, op.Var) && !p.remoteRead[op.Var.index] {
+		if s.remote(id, op.Var) && !p.remoteRead.has(op.Var.index) {
 			return true
 		}
 		return s.lastWriter[op.Var.index] != int(id)
@@ -346,7 +371,7 @@ func (s *Simulator) step(id ProcID) (Event, error) {
 		}
 		p.started = true
 		s.wg.Add(1)
-		go s.procBody(p, 0, p.chans.Load())
+		go s.procBody(p, 0)
 		s.receivePost(p)
 		return ev, nil
 	}
@@ -361,7 +386,7 @@ func (s *Simulator) step(id ProcID) (Event, error) {
 	if err != nil {
 		return Event{}, err
 	}
-	p.chans.Load().res <- res
+	s.grant(p, res)
 	s.receivePost(p)
 	return ev, nil
 }
@@ -390,18 +415,15 @@ func (s *Simulator) Crash(id ProcID) (Event, error) {
 	if p.crashed {
 		return Event{}, fmt.Errorf("tso: p%d is already crashed", id)
 	}
-	// Retire the current program goroutine. Between scheduling decisions it
-	// is parked in request on this incarnation's channels (its last post
-	// was already received), so closing the crash channel makes it exit.
-	old := p.chans.Load()
-	p.chans.Store(newProcChans())
-	close(old.crash)
+	// Retire the current program goroutine, which is parked on its grant.
+	s.grant(p, opResult{retire: true})
 	// Volatile state is lost.
 	p.buf = writeBuffer{}
 	p.mode = ModeRead
 	p.pending = Op{}
-	p.aw = newAWSet(p.id)
-	p.remoteRead = make(map[int]bool)
+	clear(p.aw)
+	p.aw.set(int(p.id))
+	clear(p.remoteRead)
 	if p.section != NCS {
 		s.actCount--
 		if len(p.stats) > 0 {
@@ -428,7 +450,7 @@ func (s *Simulator) applyRecover(p *Proc) (Event, error) {
 	s.actCount++
 	ev := s.record(p, Event{Kind: EvRecover})
 	s.wg.Add(1)
-	go s.procBody(p, p.passage, p.chans.Load())
+	go s.procBody(p, p.passage)
 	s.receivePost(p)
 	return ev, nil
 }
@@ -450,11 +472,14 @@ func (s *Simulator) TotalCrashes() int {
 }
 
 // receivePost blocks until p's program goroutine publishes its next
-// operation (or reports completion).
+// operation (or reports completion). Unless it reported completion, the
+// goroutine then parks on its grant.
 func (s *Simulator) receivePost(p *Proc) {
-	op := <-p.chans.Load().post
+	op := <-p.post
 	if op.Kind == OpDone {
 		p.done = true
+	} else {
+		p.parked = true
 	}
 	p.pending = op
 	if op.Kind == OpCS {
@@ -482,10 +507,10 @@ func (s *Simulator) checkExclusion(id ProcID) {
 // procBody is the harness wrapper that runs the program for each passage and
 // brackets it with the Exit transition. The first passage's Enter (or, after
 // a crash, the Recover standing in for it) is granted by Step before the
-// goroutine starts; subsequent passages request their own Enter. ch is this
-// incarnation's channel set, captured at spawn so a later crash of a newer
-// incarnation cannot confuse a stale goroutine.
-func (s *Simulator) procBody(p *Proc, startPass int, ch *procChans) {
+// goroutine starts; subsequent passages request their own Enter. The
+// simulator is always waiting in receivePost while the goroutine runs, so
+// its posts, OpDone included, never block for long.
+func (s *Simulator) procBody(p *Proc, startPass int) {
 	defer s.wg.Done()
 	normal := false
 	defer func() {
@@ -493,10 +518,10 @@ func (s *Simulator) procBody(p *Proc, startPass int, ch *procChans) {
 			return
 		}
 		if r := recover(); r != nil {
-			s.postPanic(p, ch, fmt.Sprint(r))
+			s.postPanic(p, fmt.Sprint(r))
 			return
 		}
-		// runtime.Goexit after a kill or crash: nothing to do.
+		// runtime.Goexit on a retire grant: nothing to do.
 	}()
 	for pass := startPass; pass < s.cfg.Passages; pass++ {
 		if pass > startPass {
@@ -506,25 +531,17 @@ func (s *Simulator) procBody(p *Proc, startPass int, ch *procChans) {
 		p.request(Op{Kind: OpExit})
 	}
 	normal = true
-	select {
-	case ch.post <- Op{Kind: OpDone}:
-	case <-ch.crash:
-	case <-s.killCh:
-	}
+	p.post <- Op{Kind: OpDone}
 }
 
 // postPanic converts a program panic into an OpDone post so the simulator
 // does not deadlock; the panic text is surfaced via ProgramPanic.
-func (s *Simulator) postPanic(p *Proc, ch *procChans, msg string) {
+func (s *Simulator) postPanic(p *Proc, msg string) {
 	// Exactly one program goroutine runs at a time (the simulator blocks in
 	// receivePost until it posts), so this write is ordered before the
 	// simulator's reads by the channel send below.
 	s.panicErr[p.id] = msg
-	select {
-	case ch.post <- Op{Kind: OpDone}:
-	case <-ch.crash:
-	case <-s.killCh:
-	}
+	p.post <- Op{Kind: OpDone}
 }
 
 // ProgramPanic returns the panic message of process id's program, if it
@@ -545,7 +562,7 @@ func (s *Simulator) apply(p *Proc, op Op) (Event, opResult, error) {
 	case OpRead:
 		return s.applyRead(p, op.Var)
 	case OpWriteIssue:
-		p.buf.push(op.Var, op.Val, p.aw.clone())
+		p.buf.push(op.Var, op.Val, p.aw)
 		ev := s.record(p, Event{Kind: EvWriteIssue, Var: op.Var, Val: op.Val, Remote: s.remote(p.id, op.Var)})
 		return ev, opResult{}, nil
 	case OpBeginFence:
@@ -609,12 +626,12 @@ func (s *Simulator) applyRead(p *Proc, v *Var) (Event, opResult, error) {
 	}
 	x := s.mem.load(v)
 	remote := s.remote(p.id, v)
-	crit := remote && !p.remoteRead[v.index]
+	crit := remote && !p.remoteRead.has(v.index)
 	if remote {
-		p.remoteRead[v.index] = true
+		p.remoteRead.set(v.index)
 	}
-	p.aw = p.aw.union(s.varAW[v.index])
-	s.markAccess(v, p.id)
+	p.aw.or(s.varAW[v.index])
+	s.accessed[v.index].set(int(p.id))
 	ev := s.record(p, Event{Kind: EvRead, Var: v, Val: x, Remote: remote, Access: true, Critical: crit})
 	return ev, opResult{val: x}, nil
 }
@@ -624,20 +641,23 @@ func (s *Simulator) applyCAS(p *Proc, op Op) (Event, opResult, error) {
 	cur := s.mem.load(v)
 	ok := cur == op.Old
 	remote := s.remote(p.id, v)
-	crit := remote && !p.remoteRead[v.index]
+	crit := remote && !p.remoteRead.has(v.index)
 	if remote {
-		p.remoteRead[v.index] = true
+		p.remoteRead.set(v.index)
 	}
-	p.aw = p.aw.union(s.varAW[v.index])
+	p.aw.or(s.varAW[v.index])
 	if ok {
 		if s.lastWriter[v.index] != int(p.id) {
 			crit = true
 		}
 		s.mem.store(v, op.Val)
 		s.lastWriter[v.index] = int(p.id)
-		s.varAW[v.index] = p.aw.clone()
+		if s.varAW[v.index] == nil {
+			s.varAW[v.index] = newBitset(s.cfg.N)
+		}
+		copy(s.varAW[v.index], p.aw)
 	}
-	s.markAccess(v, p.id)
+	s.accessed[v.index].set(int(p.id))
 	ev := s.record(p, Event{
 		Kind: EvCAS, Var: v, Val: op.Val, Old: op.Old, CASOK: ok,
 		Remote: remote, Access: true, Critical: crit, Fence: true,
@@ -649,23 +669,18 @@ func (s *Simulator) applyCommit(p *Proc) Event {
 	return s.applyCommitted(p, p.buf.pop())
 }
 
-// applyCommitted makes an already-dequeued buffered write visible.
+// applyCommitted makes an already-dequeued buffered write visible. The
+// buffer no longer holds the write, so its awareness snapshot becomes the
+// variable's carried awareness without a copy.
 func (s *Simulator) applyCommitted(p *Proc, w bufferedWrite) Event {
 	prev := s.lastWriter[w.v.index]
 	crit := prev != int(p.id)
 	s.mem.store(w.v, w.x)
 	s.lastWriter[w.v.index] = int(p.id)
-	aw := w.aw.clone().add(p.id)
-	s.varAW[w.v.index] = aw
-	s.markAccess(w.v, p.id)
+	w.aw.set(int(p.id))
+	s.varAW[w.v.index] = w.aw
+	s.accessed[w.v.index].set(int(p.id))
 	return s.record(p, Event{Kind: EvWriteCommit, Var: w.v, Val: w.x, Remote: s.remote(p.id, w.v), Access: true, Critical: crit})
-}
-
-func (s *Simulator) markAccess(v *Var, id ProcID) {
-	if s.accessed[v.index] == nil {
-		s.accessed[v.index] = make(map[ProcID]bool, 2)
-	}
-	s.accessed[v.index][id] = true
 }
 
 // recordBare finalizes and appends an event without charging it to the
@@ -718,15 +733,10 @@ func (s *Simulator) Status(id ProcID) Section { return s.procs[id].section }
 func (s *Simulator) ModeOf(id ProcID) Mode { return s.procs[id].mode }
 
 // Awareness returns the awareness set AW(id, E) in ascending order.
-func (s *Simulator) Awareness(id ProcID) []ProcID {
-	m := s.procs[id].aw.members()
-	out := make([]ProcID, len(m))
-	copy(out, m)
-	return out
-}
+func (s *Simulator) Awareness(id ProcID) []ProcID { return s.procs[id].aw.members() }
 
 // AwareOf reports whether process id is aware of q.
-func (s *Simulator) AwareOf(id, q ProcID) bool { return s.procs[id].aw.has(q) }
+func (s *Simulator) AwareOf(id, q ProcID) bool { return s.procs[id].aw.has(int(q)) }
 
 // FencesCompleted returns the number of EndFence events process id has
 // executed over the whole run.
@@ -762,20 +772,12 @@ func (s *Simulator) LastWriter(v *Var) (ProcID, bool) {
 
 // AccessedBy returns, in ascending order, the processes that accessed v
 // (committed a write to it or read it other than from their own buffer).
-func (s *Simulator) AccessedBy(v *Var) []ProcID {
-	m := s.accessed[v.index]
-	out := make([]ProcID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (s *Simulator) AccessedBy(v *Var) []ProcID { return s.accessed[v.index].members() }
 
 // HasRemotelyRead reports whether process id has performed a remote read of
 // v at some point in the execution.
 func (s *Simulator) HasRemotelyRead(id ProcID, v *Var) bool {
-	return s.procs[id].remoteRead[v.index]
+	return s.procs[id].remoteRead.has(v.index)
 }
 
 // Value returns the committed value of v.
@@ -848,6 +850,9 @@ func (s *Simulator) ReplayPrefix(banned map[ProcID]bool, upTo int) (*Simulator, 
 	if err != nil {
 		return nil, fmt.Errorf("tso: replay build: %w", err)
 	}
+	// Each decision records exactly one event, so upTo bounds both logs.
+	ns.exec.Events = make([]Event, 0, upTo)
+	ns.exec.Schedule = make([]Decision, 0, upTo)
 	for i, d := range s.exec.Schedule[:upTo] {
 		if banned[d.P] {
 			continue

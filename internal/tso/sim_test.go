@@ -381,6 +381,9 @@ func TestAwarenessDirectAndTransitive(t *testing.T) {
 	if s.AwareOf(0, 1) || s.AwareOf(0, 2) {
 		t.Error("p0 must not be aware of anyone else")
 	}
+	if s.AwareOf(0, NoOwner) || s.AwareOf(0, 64) {
+		t.Error("IDs outside 0..N-1 are in no awareness set")
+	}
 }
 
 func TestAwarenessSnapshotAtIssueTime(t *testing.T) {
