@@ -1,0 +1,87 @@
+package check
+
+import (
+	"context"
+	"errors"
+	"runtime"
+	"testing"
+	"time"
+
+	"priceadaptive/internal/vmprog"
+)
+
+// TestDeadlineEndsAsTimeBudget holds Verify and VerifyRecoverable, on the
+// sequential engines and at one and two frontier workers, to the budget
+// contract for time: an exploration that its context's deadline stops
+// returns a BudgetError of kind BudgetTime (so a job that hits its timeout
+// carries the budget_exhausted code), promptly, and leaves no goroutine
+// behind; a cancelled context still returns context.Canceled. The 20 ms
+// deadline lands mid-layer, with successor batches pending, on spaces that
+// take seconds to explore.
+func TestDeadlineEndsAsTimeBudget(t *testing.T) {
+	filter, err := vmprog.Lookup("filter", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mcs, err := vmprog.Lookup("mcs", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := []struct {
+		name string
+		run  func(ctx context.Context, workers int) error
+	}{
+		{"VerifyRecoverable filter n=3", func(ctx context.Context, workers int) error {
+			_, err := VerifyRecoverable(ctx, filter, 3,
+				WithCrashes(vmprog.CrashOpts{MaxCrashes: 2, MaxPerProc: 1}), WithWorkers(workers))
+			return err
+		}},
+		{"Verify mcs n=4", func(ctx context.Context, workers int) error {
+			_, err := Verify(ctx, mcs, 4, WithReduce(ReduceNone), WithWorkers(workers))
+			return err
+		}},
+	}
+	for _, c := range calls {
+		for _, workers := range []int{0, 1, 2} {
+			base := runtime.NumGoroutine()
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+			start := time.Now()
+			err := c.run(ctx, workers)
+			elapsed := time.Since(start)
+			cancel()
+			var be *BudgetError
+			if !errors.Is(err, ErrBudget) || !errors.As(err, &be) || be.Kind != BudgetTime {
+				t.Fatalf("%s workers=%d: err %v, want a %s budget error", c.name, workers, err, BudgetTime)
+			}
+			if elapsed > time.Second {
+				t.Errorf("%s workers=%d: returned %v after its 20ms deadline", c.name, workers, elapsed)
+			}
+			waitGoroutines(t, base)
+			t.Logf("%s workers=%d: %v after %v", c.name, workers, err, elapsed)
+
+			ctx, cancel = context.WithCancel(context.Background())
+			stop := time.AfterFunc(20*time.Millisecond, cancel)
+			err = c.run(ctx, workers)
+			stop.Stop()
+			cancel()
+			if !errors.Is(err, context.Canceled) || errors.Is(err, ErrBudget) {
+				t.Fatalf("%s workers=%d: cancelled run returned %v, want context.Canceled", c.name, workers, err)
+			}
+			waitGoroutines(t, base)
+		}
+	}
+}
+
+// waitGoroutines polls, yielding the processor, until the goroutine count
+// is back to base, and fails the test if it does not get there.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	n := runtime.NumGoroutine()
+	for i := 0; i < 10000 && n > base; i++ {
+		runtime.Gosched()
+		n = runtime.NumGoroutine()
+	}
+	if n > base {
+		t.Fatalf("%d goroutines left running, %d before the call", n, base)
+	}
+}

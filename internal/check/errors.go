@@ -1,6 +1,7 @@
 package check
 
 import (
+	"context"
 	"errors"
 	"fmt"
 )
@@ -60,3 +61,13 @@ func (e *BudgetError) Error() string {
 
 // Is makes errors.Is(err, ErrBudget) true for every BudgetError.
 func (e *BudgetError) Is(target error) bool { return target == ErrBudget }
+
+// deadlineBudget reports an exploration that a context deadline stopped as
+// a BudgetTime BudgetError. Every other error, a cancelled context
+// included, passes through unchanged.
+func deadlineBudget(err error) error {
+	if errors.Is(err, context.DeadlineExceeded) {
+		return &BudgetError{Kind: BudgetTime, Detail: err.Error()}
+	}
+	return err
+}

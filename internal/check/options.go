@@ -109,7 +109,9 @@ func engineFor(p *vmprog.Program, n int, o Options) (*vmprog.Engine, error) {
 // Verify exhaustively model-checks a VM lock program for n processes: the
 // unified entry point over the sequential DFS engine (Workers 0) and the
 // parallel sharded frontier engine (WithWorkers / WithBitstate), reduced by
-// the static analyzer's independence and symmetry facts per WithReduce.
+// the static analyzer's independence and symmetry facts per WithReduce. A
+// context deadline that stops the exploration is reported as a BudgetError
+// of kind BudgetTime; a cancelled context as context.Canceled.
 //
 //	res, err := check.Verify(ctx, p, n, check.WithWorkers(8), check.WithMaxStates(1<<24))
 func Verify(ctx context.Context, p *vmprog.Program, n int, opts ...Option) (*vmprog.CheckResult, error) {
@@ -118,14 +120,20 @@ func Verify(ctx context.Context, p *vmprog.Program, n int, opts ...Option) (*vmp
 	if err != nil {
 		return nil, err
 	}
+	var res *vmprog.CheckResult
 	if o.Workers > 0 || o.Bitstate > 0 {
-		return eng.CheckParallel(ctx, vmprog.ParallelOpts{
+		res, err = eng.CheckParallel(ctx, vmprog.ParallelOpts{
 			Workers:      o.Workers,
 			MaxStates:    o.MaxStates,
 			BitstateBits: o.Bitstate,
 		})
+	} else {
+		res, err = eng.Check(ctx, o.MaxStates)
 	}
-	return eng.Check(ctx, o.MaxStates)
+	if err != nil {
+		return nil, deadlineBudget(err)
+	}
+	return res, nil
 }
 
 // VerifyRecoverable computes the recoverability verdict of a VM program
@@ -134,19 +142,26 @@ func Verify(ctx context.Context, p *vmprog.Program, n int, opts ...Option) (*vmp
 // frontier engine (WithWorkers), which drops states after expansion and so
 // completes crash spaces the sequential checker cannot hold in memory.
 // Ample reduction is never applied (crashes are never independent); the
-// state normalizations of WithReduce are.
+// state normalizations of WithReduce are. Deadlines and cancellation end it
+// as they end Verify.
 func VerifyRecoverable(ctx context.Context, p *vmprog.Program, n int, opts ...Option) (*rme.Verdict, error) {
 	o := NewOptions(opts...)
 	eng, err := engineFor(p, n, o)
 	if err != nil {
 		return nil, err
 	}
+	var v *rme.Verdict
 	if o.Workers > 0 || o.Bitstate > 0 {
-		return rme.CheckRecoverabilityParallel(ctx, eng, vmprog.ParallelOpts{
+		v, err = rme.CheckRecoverabilityParallel(ctx, eng, vmprog.ParallelOpts{
 			Workers:      o.Workers,
 			MaxStates:    o.MaxStates,
 			BitstateBits: o.Bitstate,
 		}, o.Crash)
+	} else {
+		v, err = rme.CheckRecoverability(ctx, eng, o.MaxStates, o.Crash)
 	}
-	return rme.CheckRecoverability(ctx, eng, o.MaxStates, o.Crash)
+	if err != nil {
+		return nil, deadlineBudget(err)
+	}
+	return v, nil
 }

@@ -225,17 +225,22 @@ func replayRecovCounterexample(t *testing.T, p *vmprog.Program, n int, violation
 // (wall-clock cannot live in a byte-synced artifact): it re-runs each
 // representative lock at workers 1, 2 and NumCPU, holds the exploration
 // counts to the committed rows at every worker count, and reports the
-// wall-clock curve. On hosts with at least 4 CPUs the NumCPU run must not
-// be slower than the single-worker run by more than the tolerance — shard
-// handoff overhead must be bought back by parallelism. Runs only with
-// -parallel-guard, like the sink and padvet guards.
+// wall-clock curve. On hosts with at least 2 CPUs two workers must beat
+// one by speedup2w on mcs and tournament, whose 1-worker runs last
+// seconds; those two points are the faster of two runs each, to damp a
+// shared host's noise. On hosts with at least 4 CPUs the NumCPU run must
+// not be slower than the single-worker run by more than the tolerance —
+// shard handoff overhead must be bought back by parallelism. Runs only
+// with -parallel-guard, like the sink and padvet guards.
 func TestParallelScalingGuard(t *testing.T) {
 	if !*parallelGuardFlag {
 		t.Skip("timing guard; run with -parallel-guard")
 	}
+	const speedup2w = 1.25
 	want := mustCommittedParallel(t)
 	grid := append([]int(nil), want.Workers...)
-	if ncpu := runtime.NumCPU(); ncpu > grid[len(grid)-1] {
+	ncpu := runtime.NumCPU()
+	if ncpu > grid[len(grid)-1] {
 		grid[len(grid)-1] = ncpu
 	}
 	ctx := context.Background()
@@ -245,26 +250,45 @@ func TestParallelScalingGuard(t *testing.T) {
 			t.Fatal(err)
 		}
 		row := want.Programs[i]
-		var first time.Duration
+		gated := ncpu >= 2 && (pc.name == "mcs" || pc.name == "tournament")
+		times := make(map[int]time.Duration)
 		for _, w := range grid {
-			start := time.Now()
-			res, err := Verify(ctx, p, pc.n,
-				WithMaxStates(want.MaxStates), WithReduce(ReduceNone), WithWorkers(w))
-			if err != nil {
-				t.Fatal(err)
+			runs := 1
+			if gated && w <= 2 {
+				runs = 2
 			}
-			elapsed := time.Since(start)
-			if res.States != row.States || res.Transitions != row.Transitions {
-				t.Fatalf("%s n=%d workers=%d: counts %d/%d, committed %d/%d",
-					pc.name, pc.n, w, res.States, res.Transitions, row.States, row.Transitions)
+			for r := 0; r < runs; r++ {
+				start := time.Now()
+				res, err := Verify(ctx, p, pc.n,
+					WithMaxStates(want.MaxStates), WithReduce(ReduceNone), WithWorkers(w))
+				if err != nil {
+					t.Fatal(err)
+				}
+				elapsed := time.Since(start)
+				if res.States != row.States || res.Transitions != row.Transitions {
+					t.Fatalf("%s n=%d workers=%d: counts %d/%d, committed %d/%d",
+						pc.name, pc.n, w, res.States, res.Transitions, row.States, row.Transitions)
+				}
+				t.Logf("%s n=%d workers=%d: %d states in %v (%.0f states/s)",
+					pc.name, pc.n, w, res.States, elapsed, float64(res.States)/elapsed.Seconds())
+				if best, ok := times[w]; !ok || elapsed < best {
+					times[w] = elapsed
+				}
 			}
-			t.Logf("%s n=%d workers=%d: %d states in %v (%.0f states/s)",
-				pc.name, pc.n, w, res.States, elapsed, float64(res.States)/elapsed.Seconds())
-			if w == grid[0] {
-				first = elapsed
-			} else if w >= 4 && runtime.NumCPU() >= 4 && elapsed > 2*first {
+		}
+		first := times[grid[0]]
+		if gated {
+			if s := first.Seconds() / times[2].Seconds(); s < speedup2w {
+				t.Errorf("%s n=%d: workers=2 (%v) is %.2fx workers=1 (%v), want at least %.2fx",
+					pc.name, pc.n, times[2], s, first, speedup2w)
+			} else {
+				t.Logf("%s n=%d: workers=2 is %.2fx workers=1", pc.name, pc.n, s)
+			}
+		}
+		for _, w := range grid {
+			if w >= 4 && ncpu >= 4 && times[w] > 2*first {
 				t.Errorf("%s n=%d: workers=%d run (%v) more than 2x slower than workers=%d (%v)",
-					pc.name, pc.n, w, elapsed, grid[0], first)
+					pc.name, pc.n, w, times[w], grid[0], first)
 			}
 		}
 	}

@@ -89,8 +89,9 @@ func TestLintJob(t *testing.T) {
 // budget failures: a modelcheck job submitted with require_complete and a
 // budget too small to finish must fail with Status.ErrorCode = CodeBudget
 // (so clients can raise the budget and retry without parsing the message),
-// a successful run of the same program carries no code, and an unrelated
-// failure (unknown program) carries no code either.
+// a successful run of the same program carries no code, a run its
+// timeout_sec stops carries the same code, and an unrelated failure
+// (unknown program) carries no code.
 func TestBudgetErrorCode(t *testing.T) {
 	q, _ := newTestQueue(t, t.TempDir(), Options{Workers: 2})
 	RegisterBuiltins(q)
@@ -116,6 +117,16 @@ func TestBudgetErrorCode(t *testing.T) {
 	}
 	if st = waitDone(t, q, st.ID); st.State != StateDone || st.ErrorCode != "" {
 		t.Fatalf("completing job: %s error_code=%q, want done with no code", st.State, st.ErrorCode)
+	}
+
+	// A timeout that stops the exploration is a time budget: same code.
+	st, _, err = q.Submit(Spec{Kind: KindModelCheck, TimeoutSec: 0.05, Params: json.RawMessage(
+		`{"alg":"mcs","n":4,"engine":"fast","reduce":"none"}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st = waitDone(t, q, st.ID); st.State != StateFailed || st.ErrorCode != CodeBudget {
+		t.Fatalf("timed-out job: %s error_code=%q (%s), want failed with %q", st.State, st.ErrorCode, st.Error, CodeBudget)
 	}
 
 	st, _, err = q.Submit(Spec{Kind: KindModelCheck, Params: json.RawMessage(

@@ -219,7 +219,7 @@ func (e *Engine) checkBitstate(ctx context.Context, o ParallelOpts) (*CheckResul
 		if emptyFronts(fronts) {
 			break
 		}
-		runLayer(workers, fronts, &g.stop, func(wi int, it bitem, a *arena) { ws[wi].expand(it, a) })
+		runLayer(workers, fronts, &g.stop, func(wi int, it bitem, a *arena) { ws[wi].expand(it, a) }, nil)
 		if g.err != nil { // padvet:allow lockguard layer barrier: the coordinator runs alone, workers are parked
 			return nil, g.err // padvet:allow lockguard layer barrier: the coordinator runs alone, workers are parked
 		}

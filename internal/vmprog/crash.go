@@ -104,6 +104,7 @@ type RecovResult struct {
 	// held in every reachable state, and every reachable state can still
 	// complete every passage.
 	Recoverable bool
+	shardStats
 }
 
 // CheckRecoverable explores the crash-bounded state space exhaustively and

@@ -541,10 +541,7 @@ type CheckResult struct {
 	// correctness, not proof. A Violation and its Schedule remain exact.
 	// Callers must never report a probabilistic pass as an exact verdict.
 	Probabilistic bool
-	// crossShard counts successors routed to a different seen-set shard
-	// than their parent's (0 for the sequential engine); the shard-routing
-	// tests use it to force and observe cross-shard handoff.
-	crossShard int
+	shardStats
 }
 
 // Check explores the reachable state space exhaustively (bounded by

@@ -61,19 +61,6 @@ func decDec(v uint32) tso.Decision {
 	}
 }
 
-// pcrumb is the per-state breadcrumb kept in the sharded seen-sets: enough
-// to reconstruct an exact real-frame schedule into the state (parent hash +
-// inbound decision), the discovery layer for the frozen-layer proviso, and a
-// dense node id for the recoverability graph. States themselves are dropped
-// once expanded; only breadcrumbs persist.
-type pcrumb struct {
-	parent uint64
-	dec    uint32
-	layer  int32
-	id     uint32 // shard-local dense id (recoverable mode)
-	qidx   uint32 // index into the shard's pending next-queue
-}
-
 // pitem is a frontier entry: a state awaiting expansion in the next layer,
 // its encoding held in its shard's frontier arena.
 type pitem struct {
@@ -85,14 +72,114 @@ type pitem struct {
 	cum uint16
 }
 
-// pshard is one hash partition of the seen-set. The owning worker drains its
-// next-queue first; other workers steal chunks when theirs run dry.
+// pshard is one hash partition of the seen-set: a fingerprint index over
+// dense breadcrumb columns, enough to reconstruct an exact real-frame
+// schedule into every state (parent fingerprint and inbound decision),
+// indexed by the shard-local id the index maps each fingerprint to. States
+// themselves are dropped once expanded; only the breadcrumbs persist. The
+// owning worker drains the shard's next-queue first; other workers steal
+// chunks when theirs run dry.
 type pshard struct {
-	mu    sync.Mutex
-	seen  map[uint64]pcrumb // guarded by mu
-	next  frontier[pitem]   // guarded by mu
-	count int               // guarded by mu
-	byID  []uint64          // guarded by mu; local id -> hash (recoverable mode)
+	mu     sync.Mutex
+	index  fpindex         // guarded by mu
+	parent []uint64        // guarded by mu; local id -> parent fingerprint
+	dec    []uint32        // guarded by mu; local id -> inbound real-frame decision
+	next   frontier[pitem] // guarded by mu
+	// base is the shard's state count when the current layer began: a
+	// state discovered in this layer sits at next.items[id-base].
+	base int // guarded by mu
+	// idx and stride make global dense ids, local*stride + idx; they are
+	// fixed at construction.
+	idx, stride uint32
+}
+
+// pending is a successor staged in a worker's outbox for its owning shard.
+type pending struct {
+	h, parent uint64
+	dec       uint32 // real-frame decision from parent
+	from      uint32 // the parent's global dense id (recoverable mode)
+	end       uint32 // end of the encoding in the outbox's enc
+	cum       uint16
+}
+
+// outbox holds one worker's pending successors for one shard, their
+// encodings back to back. Its slices are reused from batch to batch.
+type outbox struct {
+	items []pending
+	enc   []uint64
+}
+
+// add stages p, whose encoding is enc.
+func (ob *outbox) add(p pending, enc []uint64) {
+	ob.enc = append(ob.enc, enc...)
+	p.end = uint32(len(ob.enc))
+	ob.items = append(ob.items, p)
+}
+
+// encOf returns the encoding of the i-th pending successor.
+func (ob *outbox) encOf(i int) []uint64 {
+	start := uint32(0)
+	if i > 0 {
+		start = ob.items[i-1].end
+	}
+	return ob.enc[start:ob.items[i].end]
+}
+
+// Batching of successor inserts: a worker offers an outbox to its shard
+// (TryLock) once it holds batchMin successors, and keeps expanding if the
+// shard is busy; at batchCap it waits for the lock. So at most batchCap
+// successors are pending per (worker, shard) pair.
+const (
+	batchMin = 64
+	batchCap = 256
+)
+
+// edgeLog is a worker's share of the recoverability graph: dense (from, to)
+// id pairs.
+type edgeLog struct{ from, to []uint32 }
+
+// insertLocked records the successors pending in ob, all discovered in
+// layer, and empties ob. An unseen state gets the next local id, its
+// breadcrumbs and a next-queue entry holding a copy of its encoding. When
+// the state was already discovered in the same layer from a different
+// parent, the breadcrumb with the smallest (parent fingerprint, decision)
+// pair wins: insertion order within a layer is scheduling-dependent, the
+// tie-break makes the surviving breadcrumb (and with it every reconstructed
+// witness) deterministic again. With log non-nil each (parent, successor)
+// edge is appended to it.
+func (sh *pshard) insertLocked(ob *outbox, layer int32, log *edgeLog) {
+	for i := range ob.items {
+		p := &ob.items[i]
+		slot, found := sh.index.find(p.h)
+		local := uint32(len(sh.parent))
+		if found {
+			var l int32
+			local, l = sh.index.at(slot)
+			if l == layer &&
+				(p.parent < sh.parent[local] || (p.parent == sh.parent[local] && p.dec < sh.dec[local])) {
+				sh.parent[local], sh.dec[local] = p.parent, p.dec
+				// The queued frontier entry must carry the winning route's
+				// cumulative permutation: successor decisions are translated
+				// to the real frame through it, and a schedule whose prefix
+				// follows one route but whose suffix was translated through
+				// another lands in a symmetric image instead of the witnessed
+				// state.
+				sh.next.items[int(local)-sh.base].cum = p.cum
+			}
+		} else {
+			sh.index.putAt(slot, p.h, local, layer)
+			sh.parent = append(sh.parent, p.parent)
+			sh.dec = append(sh.dec, p.dec)
+			sh.next.items = append(sh.next.items, pitem{
+				h: p.h, ref: sh.next.enc.put(ob.encOf(i)), id: local*sh.stride + sh.idx, cum: p.cum,
+			})
+		}
+		if log != nil {
+			log.from = append(log.from, p.from)
+			log.to = append(log.to, local*sh.stride+sh.idx)
+		}
+	}
+	ob.items, ob.enc = ob.items[:0], ob.enc[:0]
 }
 
 // pgraph is the shared exploration state of one parallel run.
@@ -107,7 +194,7 @@ type pgraph struct {
 func newPGraph(shards int, recov bool) *pgraph {
 	g := &pgraph{shards: make([]pshard, shards), recov: recov}
 	for i := range g.shards {
-		g.shards[i].seen = make(map[uint64]pcrumb) // padvet:allow lockguard construction: g is not shared yet
+		g.shards[i].idx, g.shards[i].stride = uint32(i), uint32(shards)
 	}
 	return g
 }
@@ -121,76 +208,89 @@ func (g *pgraph) fail(err error) {
 	g.stop.Store(true)
 }
 
-func (g *pgraph) lookup(h uint64) (pcrumb, bool) {
-	sh := &g.shards[h%uint64(len(g.shards))]
+// failed returns the error that stopped the run, if any.
+func (g *pgraph) failed() error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.err
+}
+
+// shard returns the shard that owns fingerprint h.
+func (g *pgraph) shard(h uint64) *pshard { return &g.shards[h%uint64(len(g.shards))] }
+
+// layerOf returns the discovery layer of the state with fingerprint h, if
+// it has been recorded.
+func (g *pgraph) layerOf(h uint64) (int32, bool) {
+	sh := g.shard(h)
 	sh.mu.Lock()
-	c, ok := sh.seen[h]
+	_, layer, ok := sh.index.get(h)
 	sh.mu.Unlock()
-	return c, ok
+	return layer, ok
 }
 
-// insert routes a state to its owning shard and records it for the next
-// layer if unseen, copying its encoding enc into the shard's arena. When
-// the state was already discovered in the same layer from a different
-// parent, the breadcrumb with the smallest (parent hash, decision) pair
-// wins — insertion order within a layer is scheduling-dependent, the
-// tie-break makes the surviving breadcrumb (and with it every reconstructed
-// witness) deterministic again. It returns the state's global dense id
-// (recoverable mode only).
-func (g *pgraph) insert(parentH uint64, dec uint32, enc []uint64, h uint64, cum uint16, layer int32) uint32 {
-	s := uint32(len(g.shards))
-	idx := uint32(h % uint64(s))
-	sh := &g.shards[idx]
+// crumb returns the breadcrumb of the state with fingerprint h.
+func (g *pgraph) crumb(h uint64) (parent uint64, dec uint32, ok bool) {
+	sh := g.shard(h)
 	sh.mu.Lock()
-	if c, ok := sh.seen[h]; ok {
-		if c.layer == layer+1 && (parentH < c.parent || (parentH == c.parent && dec < c.dec)) {
-			c.parent, c.dec = parentH, dec
-			sh.seen[h] = c
-			// The queued frontier entry must carry the winning route's
-			// cumulative permutation: successor decisions are translated to
-			// the real frame through it, and a schedule whose prefix follows
-			// one route but whose suffix was translated through another lands
-			// in a symmetric image instead of the witnessed state.
-			sh.next.items[c.qidx].cum = cum
-		}
-		gid := c.id*s + idx
-		sh.mu.Unlock()
-		return gid
+	defer sh.mu.Unlock()
+	id, _, ok := sh.index.get(h)
+	if !ok {
+		return 0, 0, false
 	}
-	local := uint32(sh.count)
-	sh.seen[h] = pcrumb{parent: parentH, dec: dec, layer: layer + 1, id: local, qidx: uint32(len(sh.next.items))}
-	sh.count++
-	if g.recov {
-		sh.byID = append(sh.byID, h)
-	}
-	gid := local*s + idx
-	sh.next.items = append(sh.next.items, pitem{h: h, ref: sh.next.enc.put(enc), id: gid, cum: cum})
-	sh.mu.Unlock()
-	return gid
+	return sh.parent[id], sh.dec[id], true
 }
 
-// countStates sums the shard populations. Call only at a layer barrier.
-func (g *pgraph) countStates() int {
-	total := 0
-	for i := range g.shards {
-		total += g.shards[i].count // padvet:allow lockguard layer barrier: the coordinator runs alone, workers are parked
-	}
-	return total
-}
-
-// takeFronts detaches every shard's next-queue as the next layer's fronts,
-// handing each shard the storage of done, the fronts just expanded (nil
-// before the first layer). Call only at a layer barrier.
-func (g *pgraph) takeFronts(done []frontier[pitem]) []frontier[pitem] {
+// barrier closes a layer, with every worker parked and every outbox empty:
+// it detaches every shard's next-queue as the next layer's fronts, handing
+// each shard the storage of done, the fronts just expanded (nil before the
+// first layer). It returns the fronts and the number of states recorded.
+func (g *pgraph) barrier(done []frontier[pitem]) ([]frontier[pitem], int) {
 	fronts := make([]frontier[pitem], len(g.shards))
+	states := 0
 	for i := range g.shards {
+		sh := &g.shards[i]
+		sh.mu.Lock()
 		var d frontier[pitem]
 		if done != nil {
 			d = done[i]
 		}
-		fronts[i] = g.shards[i].next.rotate(d) // padvet:allow lockguard layer barrier: the coordinator runs alone, workers are parked
+		fronts[i] = sh.next.rotate(d)
+		sh.base = len(sh.parent)
+		states += len(sh.parent)
+		sh.mu.Unlock()
 	}
-	return fronts
+	return fronts, states
+}
+
+// ids returns one more than the largest global dense id assigned.
+func (g *pgraph) ids() uint32 {
+	n := uint32(0)
+	for i := range g.shards {
+		sh := &g.shards[i]
+		sh.mu.Lock()
+		if c := uint32(len(sh.parent)); c > 0 {
+			n = max(n, (c-1)*sh.stride+sh.idx+1)
+		}
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+// stuck returns the (layer, fingerprint)-minimal recorded state whose
+// global dense id coreach does not mark, if there is one.
+func (g *pgraph) stuck(coreach []bool) (h uint64, ok bool) {
+	var hLayer int32
+	for i := range g.shards {
+		sh := &g.shards[i]
+		sh.mu.Lock()
+		sh.index.each(func(fp uint64, id uint32, layer int32) {
+			if !coreach[id*sh.stride+sh.idx] && (!ok || layer < hLayer || (layer == hLayer && fp < h)) {
+				h, hLayer, ok = fp, layer, true
+			}
+		})
+		sh.mu.Unlock()
+	}
+	return h, ok
 }
 
 // insertRoot records the search's root, the canonical initial state, as
@@ -198,7 +298,12 @@ func (g *pgraph) takeFronts(done []frontier[pitem]) []frontier[pitem] {
 func (g *pgraph) insertRoot(x *expander) {
 	x.root()
 	rh := x.kids[0].h
-	g.insert(rh, rootDec, x.kidEnc(0), rh, x.kids[0].perm, -1)
+	var ob outbox
+	ob.add(pending{h: rh, parent: rh, dec: rootDec, cum: x.kids[0].perm}, x.kidEnc(0))
+	sh := g.shard(rh)
+	sh.mu.Lock()
+	sh.insertLocked(&ob, 0, nil)
+	sh.mu.Unlock()
 }
 
 // emptyFronts reports whether a layer has nothing to expand.
@@ -217,12 +322,12 @@ func emptyFronts[T any](fronts []frontier[T]) bool {
 func (g *pgraph) path(h uint64) []tso.Decision {
 	var rev []tso.Decision
 	for {
-		c, ok := g.lookup(h)
-		if !ok || c.dec == rootDec {
+		parent, dec, ok := g.crumb(h)
+		if !ok || dec == rootDec {
 			break
 		}
-		rev = append(rev, decDec(c.dec))
-		h = c.parent
+		rev = append(rev, decDec(dec))
+		h = parent
 	}
 	out := make([]tso.Decision, len(rev))
 	for i := range rev {
@@ -241,6 +346,23 @@ func (e *Engine) workerClone() *Engine {
 	return ne
 }
 
+// shardStats counts how a frontier run's successors reached their seen-set
+// shards (all zero for the sequential engines). The white-box shard tests
+// read them to see cross-shard routing and batching actually happen.
+type shardStats struct {
+	crossShard int // successors routed to a shard other than their parent's
+	flushes    int // batches a worker inserted mid-layer
+	deferrals  int // TryLocks at a full batch that found the shard busy
+}
+
+// take adds o's counts to s and zeroes o.
+func (s *shardStats) take(o *shardStats) {
+	s.crossShard += o.crossShard
+	s.flushes += o.flushes
+	s.deferrals += o.deferrals
+	*o = shardStats{}
+}
+
 // pworker is one exploration worker. Counters and candidates are merged (and
 // reset) by the coordinator at every layer barrier.
 type pworker struct {
@@ -249,23 +371,36 @@ type pworker struct {
 	ctx   context.Context // padvet:allow ctx-field run root: a worker lives for one Check call
 	layer int32
 	ticks int
+	out   []outbox // pending successors, one outbox per shard
 
 	transitions int
 	ampleSteps  int
-	crossShard  int
+	shardStats
 
 	viol  bool
 	violH uint64
 
 	// Recoverable mode.
 	crash    CrashOpts
-	edgeFrom []uint32
-	edgeTo   []uint32
+	edges    edgeLog
 	doneIDs  []uint32
 	fault    bool
 	faultH   uint64
 	faultDec uint32
 	faultErr string
+}
+
+func newPWorker(ctx context.Context, e *Engine, g *pgraph) *pworker {
+	return &pworker{x: expander{eng: e.workerClone()}, g: g, ctx: ctx, out: make([]outbox, len(g.shards))}
+}
+
+// log returns the edge log inserts of this worker's successors append to:
+// nil in crash-free mode, which builds no graph.
+func (w *pworker) log() *edgeLog {
+	if !w.g.recov {
+		return nil
+	}
+	return &w.edges
 }
 
 func (w *pworker) tick() bool {
@@ -279,9 +414,9 @@ func (w *pworker) tick() bool {
 	return true
 }
 
-// insert records kid k of the expander, a successor of it, in the graph
-// and returns its global dense id.
-func (w *pworker) insert(it pitem, k int) uint32 {
+// insert stages kid k of the expander, a successor of it, for its owning
+// shard.
+func (w *pworker) insert(it pitem, k int) {
 	x := &w.x
 	h := x.kids[k].h
 	s := uint64(len(w.g.shards))
@@ -289,7 +424,52 @@ func (w *pworker) insert(it pitem, k int) uint32 {
 		w.crossShard++
 	}
 	d, cum := x.route(k, it.cum)
-	return w.g.insert(it.h, encDec(d), x.kidEnc(k), h, cum, w.layer)
+	w.push(int(h%s), pending{h: h, parent: it.h, dec: encDec(d), from: it.id, cum: cum}, x.kidEnc(k))
+}
+
+// push appends p, with encoding enc, to the outbox for shard si and inserts
+// the outbox's batch once it is full: at batchMin successors only if the
+// shard's lock is free, at batchCap waiting for it. The successors still
+// pending when the worker runs out of work are inserted by drain. Until then
+// the frozen-layer proviso cannot miss them: they all belong to the next
+// layer, which it never counts as explored.
+func (w *pworker) push(si int, p pending, enc []uint64) {
+	ob := &w.out[si]
+	ob.add(p, enc)
+	if len(ob.items) < batchMin {
+		return
+	}
+	sh := &w.g.shards[si]
+	if len(ob.items) < batchCap {
+		if !sh.mu.TryLock() {
+			w.deferrals++
+			return
+		}
+	} else {
+		sh.mu.Lock()
+	}
+	sh.insertLocked(ob, w.layer+1, w.log())
+	sh.mu.Unlock()
+	w.flushes++
+}
+
+// drain inserts every successor still pending in w's outboxes, waiting for
+// each shard's lock. A worker calls it once the layer has no item left for
+// it, while the others may still be expanding: its successors all belong to
+// the next layer, like those of a mid-layer batch. It visits the shards from
+// first on, so workers that run dry together do not queue on one shard.
+func (w *pworker) drain(first int) {
+	for k := range w.out {
+		si := (first + k) % len(w.out)
+		ob := &w.out[si]
+		if len(ob.items) == 0 {
+			continue
+		}
+		sh := &w.g.shards[si]
+		sh.mu.Lock()
+		sh.insertLocked(ob, w.layer+1, w.log())
+		sh.mu.Unlock()
+	}
 }
 
 // expand explores one state of the current layer (crash-free mode), its
@@ -315,8 +495,8 @@ func (w *pworker) expand(it pitem, a *arena) {
 		return
 	}
 	ample, err := x.successors(func(h uint64) bool {
-		c, ok := w.g.lookup(h)
-		return ok && c.layer <= w.layer
+		layer, ok := w.g.layerOf(h)
+		return ok && layer <= w.layer
 	})
 	if err != nil {
 		w.g.fail(fmt.Errorf("vmprog: parallel check: %w", err))
@@ -369,17 +549,17 @@ func (w *pworker) expandRecov(it pitem, a *arena) {
 			continue
 		}
 		w.transitions++
-		gid := w.insert(it, k)
-		w.edgeFrom = append(w.edgeFrom, it.id)
-		w.edgeTo = append(w.edgeTo, gid)
+		w.insert(it, k)
 	}
 }
 
 // runLayer expands every frontier item of the current layer across workers
 // goroutines and blocks until the layer is drained (or stop is raised).
 // Worker w drains front w first; exhausted workers steal chunks from the
-// other fronts via the per-front atomic cursors.
-func runLayer[T any](workers int, fronts []frontier[T], stop *atomic.Bool, expand func(w int, it T, a *arena)) {
+// other fronts via the per-front atomic cursors. A worker that finds no item
+// left calls dry, if it is not nil, before it returns; one stopped by stop
+// does not.
+func runLayer[T any](workers int, fronts []frontier[T], stop *atomic.Bool, expand func(w int, it T, a *arena), dry func(w int)) {
 	cursors := make([]atomic.Int64, len(fronts))
 	const chunk = 16
 	var wg sync.WaitGroup
@@ -406,6 +586,9 @@ func runLayer[T any](workers int, fronts []frontier[T], stop *atomic.Bool, expan
 						expand(wi, items[k], &fronts[fi].enc)
 					}
 				}
+			}
+			if dry != nil {
+				dry(wi)
 			}
 		}(wi)
 	}
@@ -445,31 +628,31 @@ func (e *Engine) CheckParallel(ctx context.Context, o ParallelOpts) (*CheckResul
 	g := newPGraph(workers, false)
 	ws := make([]*pworker, workers)
 	for i := range ws {
-		ws[i] = &pworker{x: expander{eng: e.workerClone()}, g: g, ctx: ctx}
+		ws[i] = newPWorker(ctx, e, g)
 	}
 	res := &CheckResult{Complete: true}
 	g.insertRoot(&ws[0].x)
-	fronts := g.takeFronts(nil)
+	fronts, _ := g.barrier(nil)
 	for layer := int32(0); ; layer++ {
 		for _, w := range ws {
 			w.layer = layer
 		}
-		runLayer(workers, fronts, &g.stop, func(wi int, it pitem, a *arena) { ws[wi].expand(it, a) })
-		if g.err != nil { // padvet:allow lockguard layer barrier: the coordinator runs alone, workers are parked
-			return nil, g.err // padvet:allow lockguard layer barrier: the coordinator runs alone, workers are parked
+		runLayer(workers, fronts, &g.stop, func(wi int, it pitem, a *arena) { ws[wi].expand(it, a) }, func(wi int) { ws[wi].drain(wi) })
+		if err := g.failed(); err != nil {
+			return nil, err
 		}
 		viol, violH := false, uint64(0)
 		for _, w := range ws {
 			res.Transitions += w.transitions
 			res.AmpleSteps += w.ampleSteps
-			res.crossShard += w.crossShard
-			w.transitions, w.ampleSteps, w.crossShard = 0, 0, 0
+			res.shardStats.take(&w.shardStats)
+			w.transitions, w.ampleSteps = 0, 0
 			if w.viol && (!viol || w.violH < violH) {
 				viol, violH = true, w.violH
 			}
 			w.viol = false
 		}
-		res.States = g.countStates()
+		fronts, res.States = g.barrier(fronts)
 		if viol {
 			res.Violation = true
 			res.Schedule = g.path(violH)
@@ -480,7 +663,6 @@ func (e *Engine) CheckParallel(ctx context.Context, o ParallelOpts) (*CheckResul
 			res.Complete = false
 			return res, nil
 		}
-		fronts = g.takeFronts(fronts)
 		if emptyFronts(fronts) {
 			return res, nil
 		}
@@ -505,23 +687,25 @@ func (e *Engine) CheckRecoverableParallel(ctx context.Context, o ParallelOpts, c
 	g := newPGraph(workers, true)
 	ws := make([]*pworker, workers)
 	for i := range ws {
-		ws[i] = &pworker{x: expander{eng: e.workerClone()}, g: g, ctx: ctx, crash: crash}
+		ws[i] = newPWorker(ctx, e, g)
+		ws[i].crash = crash
 	}
 	res := &RecovResult{}
 	g.insertRoot(&ws[0].x)
-	fronts := g.takeFronts(nil)
+	fronts, _ := g.barrier(nil)
 	for layer := int32(0); ; layer++ {
 		for _, w := range ws {
 			w.layer = layer
 		}
-		runLayer(workers, fronts, &g.stop, func(wi int, it pitem, a *arena) { ws[wi].expandRecov(it, a) })
-		if g.err != nil { // padvet:allow lockguard layer barrier: the coordinator runs alone, workers are parked
-			return nil, g.err // padvet:allow lockguard layer barrier: the coordinator runs alone, workers are parked
+		runLayer(workers, fronts, &g.stop, func(wi int, it pitem, a *arena) { ws[wi].expandRecov(it, a) }, func(wi int) { ws[wi].drain(wi) })
+		if err := g.failed(); err != nil {
+			return nil, err
 		}
 		viol, violH := false, uint64(0)
 		fault, faultH, faultDec, faultErr := false, uint64(0), uint32(0), ""
 		for _, w := range ws {
 			res.Transitions += w.transitions
+			res.shardStats.take(&w.shardStats)
 			w.transitions = 0
 			if w.viol && (!viol || w.violH < violH) {
 				viol, violH = true, w.violH
@@ -531,7 +715,7 @@ func (e *Engine) CheckRecoverableParallel(ctx context.Context, o ParallelOpts, c
 			}
 			w.viol, w.fault = false, false
 		}
-		res.States = g.countStates()
+		fronts, res.States = g.barrier(fronts)
 		if viol {
 			res.Complete = true
 			res.Violation = true
@@ -548,7 +732,6 @@ func (e *Engine) CheckRecoverableParallel(ctx context.Context, o ParallelOpts, c
 		if res.States > maxStates {
 			return res, nil // Complete stays false: no verdict
 		}
-		fronts = g.takeFronts(fronts)
 		if emptyFronts(fronts) {
 			break
 		}
@@ -557,22 +740,14 @@ func (e *Engine) CheckRecoverableParallel(ctx context.Context, o ParallelOpts, c
 	// Co-reachability of completion over the dense graph: reverse BFS from
 	// the AllDone states along a CSR predecessor index built from the
 	// workers' edge logs.
-	s := uint32(len(g.shards))
-	n := uint32(0)
-	for idx := range g.shards {
-		if c := g.shards[idx].count; c > 0 { // padvet:allow lockguard post-exploration: the layer loop has exited, workers are joined
-			if top := uint32(c-1)*s + uint32(idx) + 1; top > n {
-				n = top
-			}
-		}
-	}
+	n := g.ids()
 	edges := 0
 	for _, w := range ws {
-		edges += len(w.edgeTo)
+		edges += len(w.edges.to)
 	}
 	cnt := make([]uint32, n+1)
 	for _, w := range ws {
-		for _, j := range w.edgeTo {
+		for _, j := range w.edges.to {
 			cnt[j+1]++
 		}
 	}
@@ -582,8 +757,8 @@ func (e *Engine) CheckRecoverableParallel(ctx context.Context, o ParallelOpts, c
 	preds := make([]uint32, edges)
 	fill := make([]uint32, n)
 	for _, w := range ws {
-		for k, j := range w.edgeTo {
-			preds[cnt[j]+fill[j]] = w.edgeFrom[k]
+		for k, j := range w.edges.to {
+			preds[cnt[j]+fill[j]] = w.edges.from[k]
 			fill[j]++
 		}
 	}
@@ -607,22 +782,9 @@ func (e *Engine) CheckRecoverableParallel(ctx context.Context, o ParallelOpts, c
 			}
 		}
 	}
-	stuck, stuckH, stuckLayer := false, uint64(0), int32(0)
-	for idx := range g.shards {
-		sh := &g.shards[idx]
-		for local, h := range sh.byID { // padvet:allow lockguard post-exploration: the layer loop has exited, workers are joined
-			if coreach[uint32(local)*s+uint32(idx)] {
-				continue
-			}
-			l := sh.seen[h].layer // padvet:allow lockguard post-exploration: the layer loop has exited, workers are joined
-			if !stuck || l < stuckLayer || (l == stuckLayer && h < stuckH) {
-				stuck, stuckH, stuckLayer = true, h, l
-			}
-		}
-	}
-	if stuck {
+	if h, ok := g.stuck(coreach); ok {
 		res.Stuck = true
-		res.StuckSchedule = g.path(stuckH)
+		res.StuckSchedule = g.path(h)
 	}
 	res.Recoverable = !res.Violation && !res.Stuck && !res.Fault
 	return res, nil

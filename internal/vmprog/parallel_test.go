@@ -2,7 +2,9 @@ package vmprog
 
 import (
 	"context"
+	"runtime"
 	"testing"
+	"time"
 
 	"priceadaptive/internal/tso"
 )
@@ -282,5 +284,200 @@ func TestBitstateProbabilistic(t *testing.T) {
 	if _, err := buildEngine(t, "rtas", 2, false).CheckRecoverableParallel(ctx,
 		ParallelOpts{Workers: 1, BitstateBits: 22}, CrashOpts{MaxCrashes: 1}); err == nil {
 		t.Fatal("bitstate recoverability was not rejected")
+	}
+}
+
+// TestParallelBatchedInserts runs both frontier engines at 1-4 workers on
+// programs whose layers overflow a shard's batch many times: filter at n=3
+// (capped, so many layers of thousands of successors), and bakery at n=2,
+// crash-free and under two crashes: under TSO, where both engines run to
+// completion without a counterexample, and under PSO, where both find a
+// violation. Counts and schedules must not depend on the worker count;
+// complete runs without a counterexample must match the sequential
+// engines' counts, and every violation schedule must replay. The one-worker
+// runs and the multi-worker runs must have inserted batches mid-layer, and
+// the multi-worker runs must have found a shard busy at least once, so a
+// fall back to inserting only when a worker runs dry, or to waiting on
+// every batch, does not pass unseen.
+func TestParallelBatchedInserts(t *testing.T) {
+	ctx := context.Background()
+	var stats shardStats
+	compared := 0 // runs whose counts were compared with the sequential engine
+	for _, tc := range []struct {
+		name      string
+		n         int
+		pso       bool
+		maxStates int // 0: run to completion and compare with the sequential engine
+		crash     CrashOpts
+	}{
+		{"filter", 3, false, 20000, CrashOpts{}},
+		{"bakery", 2, false, 0, CrashOpts{MaxCrashes: 2, MaxPerProc: 1}},
+		{"bakery", 2, true, 0, CrashOpts{MaxCrashes: 2, MaxPerProc: 1}},
+	} {
+		max := tc.maxStates
+		if max == 0 {
+			max = 1 << 20
+		}
+		var seq *CheckResult
+		var seqR *RecovResult
+		if tc.maxStates == 0 {
+			var err error
+			if seq, err = buildEngine(t, tc.name, tc.n, tc.pso).Check(ctx, max); err != nil {
+				t.Fatal(err)
+			}
+			if seqR, err = buildEngine(t, tc.name, tc.n, tc.pso).CheckRecoverable(ctx, max, tc.crash); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var first *CheckResult
+		var firstR *RecovResult
+		for workers := 1; workers <= 4; workers++ {
+			po := ParallelOpts{Workers: workers, MaxStates: max}
+			par, err := buildEngine(t, tc.name, tc.n, tc.pso).CheckParallel(ctx, po)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parR, err := buildEngine(t, tc.name, tc.n, tc.pso).CheckRecoverableParallel(ctx, po, tc.crash)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if workers == 1 && (par.flushes == 0 || parR.flushes == 0) {
+				t.Fatalf("%s w=1: no batch was inserted mid-layer (%d, %d)", tc.name, par.flushes, parR.flushes)
+			}
+			if workers > 1 {
+				stats.take(&par.shardStats)
+				stats.take(&parR.shardStats)
+			}
+			if seq != nil {
+				if par.Violation != seq.Violation || par.Complete != seq.Complete {
+					t.Fatalf("%s w=%d: verdict violation=%v complete=%v, sequential %v/%v",
+						tc.name, workers, par.Violation, par.Complete, seq.Violation, seq.Complete)
+				}
+				if par.Complete && !par.Violation {
+					if par.States != seq.States || par.Transitions != seq.Transitions {
+						t.Fatalf("%s w=%d: counts %d/%d, sequential %d/%d",
+							tc.name, workers, par.States, par.Transitions, seq.States, seq.Transitions)
+					}
+					compared++
+				}
+				if parR.Recoverable != seqR.Recoverable || parR.Complete != seqR.Complete {
+					t.Fatalf("%s w=%d: recoverable=%v complete=%v, sequential %v/%v",
+						tc.name, workers, parR.Recoverable, parR.Complete, seqR.Recoverable, seqR.Complete)
+				}
+				if parR.Complete && !parR.Violation && !parR.Fault && !seqR.Violation && !seqR.Fault {
+					if parR.States != seqR.States || parR.Transitions != seqR.Transitions {
+						t.Fatalf("%s w=%d: recoverable counts %d/%d, sequential %d/%d",
+							tc.name, workers, parR.States, parR.Transitions, seqR.States, seqR.Transitions)
+					}
+					compared++
+				}
+			}
+			if par.Violation {
+				replayViolation(t, tc.name, tc.n, tc.pso, par.Schedule)
+			}
+			if parR.Violation {
+				replayViolation(t, tc.name, tc.n, tc.pso, parR.ViolationSchedule)
+			}
+			if first == nil {
+				first, firstR = par, parR
+				continue
+			}
+			if par.States != first.States || par.Transitions != first.Transitions ||
+				par.Violation != first.Violation || par.Complete != first.Complete || !schedEqual(par.Schedule, first.Schedule) {
+				t.Fatalf("%s: w=%d explores %d/%d, w=1 %d/%d, or their schedules differ",
+					tc.name, workers, par.States, par.Transitions, first.States, first.Transitions)
+			}
+			if parR.States != firstR.States || parR.Transitions != firstR.Transitions ||
+				parR.Recoverable != firstR.Recoverable || parR.Complete != firstR.Complete ||
+				!schedEqual(parR.ViolationSchedule, firstR.ViolationSchedule) ||
+				!schedEqual(parR.StuckSchedule, firstR.StuckSchedule) ||
+				!schedEqual(parR.FaultSchedule, firstR.FaultSchedule) {
+				t.Fatalf("%s: recoverable w=%d explores %d/%d, w=1 %d/%d, or their witnesses differ",
+					tc.name, workers, parR.States, parR.Transitions, firstR.States, firstR.Transitions)
+			}
+		}
+	}
+	if compared != 8 {
+		t.Fatalf("%d runs compared counts with the sequential engine, want 8 (bakery under TSO, both engines, 1-4 workers)", compared)
+	}
+	t.Logf("2-4 workers: %d batches inserted mid-layer, %d found their shard busy", stats.flushes, stats.deferrals)
+	if stats.flushes == 0 {
+		t.Fatal("no multi-worker run inserted a batch mid-layer")
+	}
+	if stats.deferrals == 0 {
+		if runtime.GOMAXPROCS(0) < 2 {
+			t.Skip("one P: workers never hold a shard lock at the same time")
+		}
+		t.Fatal("no worker ever found a shard busy at a full batch: TryLock deferral is not exercised")
+	}
+}
+
+// TestOutboxProtocol pins how a worker hands successors to a shard: nothing
+// before batchMin pending, TryLock from batchMin on (a busy shard defers
+// the batch and the worker keeps it), a blocking Lock at batchCap, so no
+// outbox ever holds more than batchCap successors, and drain inserting the
+// rest.
+func TestOutboxProtocol(t *testing.T) {
+	g := newPGraph(2, false)
+	w := &pworker{g: g, out: make([]outbox, 2)}
+	sh := &g.shards[1]
+	h := uint64(1) // odd fingerprints: all owned by shard 1
+	push := func(k int) {
+		for ; k > 0; k-- {
+			w.push(1, pending{h: h, parent: 7, dec: 3}, []uint64{h})
+			h += 2
+		}
+	}
+	recorded := func() int {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return len(sh.parent)
+	}
+
+	push(batchMin - 1)
+	if n := recorded(); n != 0 || w.flushes != 0 {
+		t.Fatalf("%d successors recorded and %d batches inserted below batchMin", n, w.flushes)
+	}
+	sh.mu.Lock()
+	push(1)
+	if w.deferrals != 1 || len(w.out[1].items) != batchMin {
+		t.Fatalf("busy shard at batchMin: %d deferrals, %d pending; want 1, %d", w.deferrals, len(w.out[1].items), batchMin)
+	}
+	sh.mu.Unlock()
+	push(1)
+	if n := recorded(); n != batchMin+1 || w.flushes != 1 || len(w.out[1].items) != 0 {
+		t.Fatalf("free shard: %d recorded, %d batches, %d pending; want %d, 1, 0", n, w.flushes, len(w.out[1].items), batchMin+1)
+	}
+
+	// With the shard held, the worker defers until batchCap and then waits.
+	// The pause only gives a worker that does not wait the time to finish
+	// and be caught; a waiting worker passes however long it takes to get
+	// there.
+	sh.mu.Lock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		push(batchCap + 10)
+	}()
+	select {
+	case <-done:
+		t.Fatal("the worker went past batchCap pending successors without waiting for the shard")
+	case <-time.After(50 * time.Millisecond):
+	}
+	sh.mu.Unlock()
+	<-done
+	if n := recorded(); n != batchMin+1+batchCap || w.flushes != 2 || len(w.out[1].items) != 10 {
+		t.Fatalf("after the cap: %d recorded, %d batches, %d pending; want %d, 2, 10",
+			n, w.flushes, len(w.out[1].items), batchMin+1+batchCap)
+	}
+	if want := 1 + batchCap - batchMin; w.deferrals != want {
+		t.Fatalf("%d deferrals, want %d", w.deferrals, want)
+	}
+
+	// A worker that runs dry inserts what it still holds, below batchMin.
+	w.drain(0)
+	if n := recorded(); n != batchMin+1+batchCap+10 || w.flushes != 2 || len(w.out[1].items) != 0 {
+		t.Fatalf("after drain: %d recorded, %d batches, %d pending; want %d, 2, 0",
+			n, w.flushes, len(w.out[1].items), batchMin+1+batchCap+10)
 	}
 }
