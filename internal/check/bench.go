@@ -251,11 +251,10 @@ func RMEBench(ctx context.Context) ([]BenchRMEEntry, error) {
 		if p.Recover == 0 {
 			continue
 		}
-		v, err := RMEVerify(ctx, p, nn, RMEOptions{
-			MaxStates: benchRMEMaxStates,
-			Crash:     vmprog.CrashOpts{MaxCrashes: benchRMECrashes, MaxPerProc: benchRMEPerProc},
-			Reduce:    ReduceFull,
-		})
+		v, err := VerifyRecoverable(ctx, p, nn,
+			WithMaxStates(benchRMEMaxStates),
+			WithCrashes(vmprog.CrashOpts{MaxCrashes: benchRMECrashes, MaxPerProc: benchRMEPerProc}),
+			WithReduce(ReduceFull))
 		if err != nil {
 			return nil, err
 		}

@@ -8,43 +8,6 @@ import (
 	"priceadaptive/internal/vmprog"
 )
 
-// RMEOptions configures the recoverability checks.
-//
-// Deprecated: use VerifyRecoverable with functional options (WithMaxStates,
-// WithCrashes, WithReduce, WithFacts, WithWorkers); RMEVerify is a shim.
-type RMEOptions struct {
-	// MaxStates bounds the crash-bounded exploration (0: engine default).
-	MaxStates int
-	// Crash is the crash budget (zero MaxCrashes means the exploration
-	// degenerates to the crash-free graph; use at least 1 for a
-	// recoverability verdict that means anything).
-	Crash vmprog.CrashOpts
-	// Reduce selects which reduction facts to install. Ample-set pruning is
-	// never applied by the recoverability exploration - crash decisions are
-	// never independent of anything, so a crash-enabled state has no valid
-	// ample subset - but the state normalizations (dead-register zeroing,
-	// symmetry canonicalization) still apply and are differentially pinned
-	// against ReduceNone.
-	Reduce ReduceMode
-	// Facts, when non-nil, are pre-derived reduction facts (e.g. from the
-	// jobs artifact cache); derived on demand otherwise.
-	Facts *vmprog.PruneFacts
-}
-
-// RMEVerify computes the recoverability verdict of one VM program under a
-// bounded crash adversary on the fast engine.
-//
-// Deprecated: use VerifyRecoverable with functional options; this shim maps
-// RMEOptions onto the unified Options surface (always the sequential
-// checker).
-func RMEVerify(ctx context.Context, p *vmprog.Program, n int, opts RMEOptions) (*rme.Verdict, error) {
-	return VerifyRecoverable(ctx, p, n,
-		WithMaxStates(opts.MaxStates),
-		WithCrashes(opts.Crash),
-		WithReduce(opts.Reduce),
-		WithFacts(opts.Facts))
-}
-
 // RMESuiteEntry pairs a program's recoverability verdict with the registry's
 // declared expectation.
 type RMESuiteEntry struct {
@@ -62,8 +25,9 @@ type RMESuiteEntry struct {
 // recoverability gate: rtas and the RME ports must verify recoverable (as
 // must the restart-recoverable doorway locks, see vmprog.Entry.Recoverable),
 // and the one-shot structures, the TAS family and the crash-broken
-// rtas-dirty must be rejected.
-func RMEVerdictSuite(ctx context.Context, n int, opts RMEOptions) ([]RMESuiteEntry, error) {
+// rtas-dirty must be rejected. Every program is checked by VerifyRecoverable
+// with opts.
+func RMEVerdictSuite(ctx context.Context, n int, opts ...Option) ([]RMESuiteEntry, error) {
 	var out []RMESuiteEntry
 	for _, e := range vmprog.Registry() {
 		nn := n
@@ -74,7 +38,7 @@ func RMEVerdictSuite(ctx context.Context, n int, opts RMEOptions) ([]RMESuiteEnt
 		if err != nil {
 			return nil, err
 		}
-		v, err := RMEVerify(ctx, p, nn, opts)
+		v, err := VerifyRecoverable(ctx, p, nn, opts...)
 		if err != nil {
 			return nil, fmt.Errorf("check: rme verdict for %s: %w", e.Name, err)
 		}

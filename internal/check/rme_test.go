@@ -28,22 +28,24 @@ var rmeIncompleteNone = map[string]bool{"tournament": true, "synthetic": true}
 // doorway locks verify recoverable, the one-shot structures fault or wedge,
 // the TAS family wedges, the crash-broken variants are rejected with an
 // exclusion violation, and the two reduction modes agree on every verdict
-// they both complete.
+// they both complete. It runs the frontier engine at one worker, which
+// drops each state once expanded: the sequential checker keeps every state
+// of these million-state graphs. TestParallelRecoverableDifferential pins
+// the two engines to the same verdicts.
 func TestRMEVerdictSuitePinned(t *testing.T) {
 	ctx := context.Background()
-	opts := RMEOptions{
+	opts := []Option{
 		// synthetic, the largest completing program, needs ~1.5M states
 		// fully reduced at this crash budget.
-		MaxStates: 1_600_000,
-		Crash:     vmprog.CrashOpts{MaxCrashes: 2, MaxPerProc: 1},
+		WithMaxStates(1_600_000),
+		WithCrashes(vmprog.CrashOpts{MaxCrashes: 2, MaxPerProc: 1}),
+		WithWorkers(1),
 	}
-	optsNone := opts
-	optsNone.Reduce = ReduceNone
-	full, err := RMEVerdictSuite(ctx, 2, opts)
+	full, err := RMEVerdictSuite(ctx, 2, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	none, err := RMEVerdictSuite(ctx, 2, optsNone)
+	none, err := RMEVerdictSuite(ctx, 2, append(opts, WithReduce(ReduceNone))...)
 	if err != nil {
 		t.Fatal(err)
 	}

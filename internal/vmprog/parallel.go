@@ -72,6 +72,47 @@ type pitem struct {
 	cum uint16
 }
 
+// Breadcrumb columns hold crumbChunk entries per chunk. The size bounds the
+// unused tail of a column's last chunk, and keeps a shard of about a
+// thousand states inside the first one.
+const (
+	crumbShift = 11
+	crumbChunk = 1 << crumbShift
+)
+
+// column is a dense breadcrumb column indexed by shard-local id. Its first
+// chunk grows as a plain slice does, so a small graph allocates what a slice
+// would; every later chunk is allocated at its full size, so a large column
+// never copies what it holds.
+type column[T uint32 | uint64] struct {
+	chunks [][]T // every chunk but the last holds crumbChunk entries
+}
+
+// len returns the number of entries.
+func (c *column[T]) len() int {
+	k := len(c.chunks)
+	if k == 0 {
+		return 0
+	}
+	return (k-1)<<crumbShift + len(c.chunks[k-1])
+}
+
+// at returns the entry of id i.
+func (c *column[T]) at(i uint32) *T { return &c.chunks[i>>crumbShift][i&(crumbChunk-1)] }
+
+// push appends v.
+func (c *column[T]) push(v T) {
+	k := len(c.chunks) - 1
+	if k < 0 {
+		c.chunks = append(c.chunks, nil)
+		k = 0
+	} else if len(c.chunks[k]) == crumbChunk {
+		c.chunks = append(c.chunks, make([]T, 0, crumbChunk))
+		k++
+	}
+	c.chunks[k] = append(c.chunks[k], v)
+}
+
 // pshard is one hash partition of the seen-set: a fingerprint index over
 // dense breadcrumb columns, enough to reconstruct an exact real-frame
 // schedule into every state (parent fingerprint and inbound decision),
@@ -82,8 +123,8 @@ type pitem struct {
 type pshard struct {
 	mu     sync.Mutex
 	index  fpindex         // guarded by mu
-	parent []uint64        // guarded by mu; local id -> parent fingerprint
-	dec    []uint32        // guarded by mu; local id -> inbound real-frame decision
+	parent column[uint64]  // guarded by mu; local id -> parent fingerprint
+	dec    column[uint32]  // guarded by mu; local id -> inbound real-frame decision
 	next   frontier[pitem] // guarded by mu
 	// base is the shard's state count when the current layer began: a
 	// state discovered in this layer sits at next.items[id-base].
@@ -97,7 +138,7 @@ type pshard struct {
 type pending struct {
 	h, parent uint64
 	dec       uint32 // real-frame decision from parent
-	from      uint32 // the parent's global dense id (recoverable mode)
+	slot      uint32 // the edge-record word its dense id goes to (recoverable mode)
 	end       uint32 // end of the encoding in the outbox's enc
 	cum       uint16
 }
@@ -134,9 +175,97 @@ const (
 	batchCap = 256
 )
 
-// edgeLog is a worker's share of the recoverability graph: dense (from, to)
-// id pairs.
-type edgeLog struct{ from, to []uint32 }
+// Edge records are stored in blocks of recBlock words, allocated at that
+// size: the log never copies what it holds. A slot is a word's position in
+// the log, block<<recShift | offset, so a uint32 slot reaches maxRecBlocks
+// blocks.
+const (
+	recShift     = 14
+	recBlock     = 1 << recShift
+	maxRecBlocks = 1 << (32 - recShift)
+)
+
+// edgeRecs is a worker's share of the recoverability graph, grouped by
+// parent: one record [from id, k, to_1 … to_k] per state the worker
+// expanded, where from is the state's global dense id and the to_i are its
+// k successors' ids. A record never straddles two blocks. The worker
+// reserves a record before it stages the successors, each pending entry
+// carries its slot, and the insert that assigns the successor's id writes
+// it there. A worker inserts only its own outboxes, so every record has
+// one writer.
+type edgeRecs struct {
+	blocks [][]uint32
+}
+
+// reserve appends a record for from with k successors and returns the slot
+// of its first successor word. It fails when the record would not fit a
+// block or its slots would overflow a uint32.
+func (r *edgeRecs) reserve(from uint32, k int) (uint32, error) {
+	need := 2 + k
+	if need > recBlock {
+		return 0, fmt.Errorf("vmprog: recoverability check: a state with %d successors exceeds an edge-record block", k)
+	}
+	last := len(r.blocks) - 1
+	if last < 0 || recBlock-len(r.blocks[last]) < need {
+		if len(r.blocks) == maxRecBlocks {
+			return 0, errors.New("vmprog: recoverability check: edge records overflow their 32-bit slot index")
+		}
+		r.blocks = append(r.blocks, make([]uint32, 0, recBlock))
+		last++
+	}
+	b := r.blocks[last]
+	off := len(b)
+	r.blocks[last] = append(b, from, uint32(k))[:off+need]
+	return uint32(last)<<recShift | uint32(off+2), nil
+}
+
+// set writes successor id to at slot.
+func (r *edgeRecs) set(slot, to uint32) { r.blocks[slot>>recShift][slot&(recBlock-1)] = to }
+
+// predIndex builds the predecessor index of the dense ids 0..n-1 from the
+// workers' edge records: the predecessors of j are preds[start[j]:start[j+1]].
+// It is a counting sort whose count column is its own write cursor: after
+// the counting pass start[j] ends j's range, and placing an edge moves it
+// down by one, so that it starts j's range once every edge is placed. The
+// placing pass drops each record block once it has read it.
+func predIndex(n uint32, logs []*edgeRecs) (start, preds []uint32, err error) {
+	start = make([]uint32, n+1)
+	edges := 0
+	for _, r := range logs {
+		for _, b := range r.blocks {
+			for i := 0; i < len(b); {
+				k := int(b[i+1])
+				for _, j := range b[i+2 : i+2+k] {
+					start[j]++
+				}
+				edges += k
+				i += 2 + k
+			}
+		}
+	}
+	if uint64(edges) > uint64(^uint32(0)) {
+		return nil, nil, fmt.Errorf("vmprog: recoverability check: %d edges overflow the 32-bit predecessor index", edges)
+	}
+	for j := uint32(1); j <= n; j++ {
+		start[j] += start[j-1]
+	}
+	preds = make([]uint32, edges)
+	for _, r := range logs {
+		for bi, b := range r.blocks {
+			for i := 0; i < len(b); {
+				from, k := b[i], int(b[i+1])
+				for _, j := range b[i+2 : i+2+k] {
+					start[j]--
+					preds[start[j]] = from
+				}
+				i += 2 + k
+			}
+			r.blocks[bi] = nil
+		}
+		r.blocks = nil
+	}
+	return start, preds, nil
+}
 
 // insertLocked records the successors pending in ob, all discovered in
 // layer, and empties ob. An unseen state gets the next local id, its
@@ -145,38 +274,40 @@ type edgeLog struct{ from, to []uint32 }
 // parent, the breadcrumb with the smallest (parent fingerprint, decision)
 // pair wins: insertion order within a layer is scheduling-dependent, the
 // tie-break makes the surviving breadcrumb (and with it every reconstructed
-// witness) deterministic again. With log non-nil each (parent, successor)
-// edge is appended to it.
-func (sh *pshard) insertLocked(ob *outbox, layer int32, log *edgeLog) {
+// witness) deterministic again. With recs non-nil each successor's global
+// dense id is written to its slot there.
+func (sh *pshard) insertLocked(ob *outbox, layer int32, recs *edgeRecs) {
 	for i := range ob.items {
 		p := &ob.items[i]
 		slot, found := sh.index.find(p.h)
-		local := uint32(len(sh.parent))
+		var local uint32
 		if found {
 			var l int32
 			local, l = sh.index.at(slot)
-			if l == layer &&
-				(p.parent < sh.parent[local] || (p.parent == sh.parent[local] && p.dec < sh.dec[local])) {
-				sh.parent[local], sh.dec[local] = p.parent, p.dec
-				// The queued frontier entry must carry the winning route's
-				// cumulative permutation: successor decisions are translated
-				// to the real frame through it, and a schedule whose prefix
-				// follows one route but whose suffix was translated through
-				// another lands in a symmetric image instead of the witnessed
-				// state.
-				sh.next.items[int(local)-sh.base].cum = p.cum
+			if l == layer {
+				pp, pd := sh.parent.at(local), sh.dec.at(local)
+				if p.parent < *pp || (p.parent == *pp && p.dec < *pd) {
+					*pp, *pd = p.parent, p.dec
+					// The queued frontier entry must carry the winning
+					// route's cumulative permutation: successor decisions
+					// are translated to the real frame through it, and a
+					// schedule whose prefix follows one route but whose
+					// suffix was translated through another lands in a
+					// symmetric image instead of the witnessed state.
+					sh.next.items[int(local)-sh.base].cum = p.cum
+				}
 			}
 		} else {
+			local = uint32(sh.parent.len())
 			sh.index.putAt(slot, p.h, local, layer)
-			sh.parent = append(sh.parent, p.parent)
-			sh.dec = append(sh.dec, p.dec)
+			sh.parent.push(p.parent)
+			sh.dec.push(p.dec)
 			sh.next.items = append(sh.next.items, pitem{
 				h: p.h, ref: sh.next.enc.put(ob.encOf(i)), id: local*sh.stride + sh.idx, cum: p.cum,
 			})
 		}
-		if log != nil {
-			log.from = append(log.from, p.from)
-			log.to = append(log.to, local*sh.stride+sh.idx)
+		if recs != nil {
+			recs.set(p.slot, local*sh.stride+sh.idx)
 		}
 	}
 	ob.items, ob.enc = ob.items[:0], ob.enc[:0]
@@ -237,7 +368,7 @@ func (g *pgraph) crumb(h uint64) (parent uint64, dec uint32, ok bool) {
 	if !ok {
 		return 0, 0, false
 	}
-	return sh.parent[id], sh.dec[id], true
+	return *sh.parent.at(id), *sh.dec.at(id), true
 }
 
 // barrier closes a layer, with every worker parked and every outbox empty:
@@ -255,8 +386,8 @@ func (g *pgraph) barrier(done []frontier[pitem]) ([]frontier[pitem], int) {
 			d = done[i]
 		}
 		fronts[i] = sh.next.rotate(d)
-		sh.base = len(sh.parent)
-		states += len(sh.parent)
+		sh.base = sh.parent.len()
+		states += sh.base
 		sh.mu.Unlock()
 	}
 	return fronts, states
@@ -268,7 +399,7 @@ func (g *pgraph) ids() uint32 {
 	for i := range g.shards {
 		sh := &g.shards[i]
 		sh.mu.Lock()
-		if c := uint32(len(sh.parent)); c > 0 {
+		if c := uint32(sh.parent.len()); c > 0 {
 			n = max(n, (c-1)*sh.stride+sh.idx+1)
 		}
 		sh.mu.Unlock()
@@ -382,7 +513,7 @@ type pworker struct {
 
 	// Recoverable mode.
 	crash    CrashOpts
-	edges    edgeLog
+	recs     edgeRecs
 	doneIDs  []uint32
 	fault    bool
 	faultH   uint64
@@ -394,13 +525,13 @@ func newPWorker(ctx context.Context, e *Engine, g *pgraph) *pworker {
 	return &pworker{x: expander{eng: e.workerClone()}, g: g, ctx: ctx, out: make([]outbox, len(g.shards))}
 }
 
-// log returns the edge log inserts of this worker's successors append to:
-// nil in crash-free mode, which builds no graph.
-func (w *pworker) log() *edgeLog {
+// records returns the edge records the inserts of this worker's successors
+// write to: nil in crash-free mode, which builds no graph.
+func (w *pworker) records() *edgeRecs {
 	if !w.g.recov {
 		return nil
 	}
-	return &w.edges
+	return &w.recs
 }
 
 func (w *pworker) tick() bool {
@@ -415,8 +546,8 @@ func (w *pworker) tick() bool {
 }
 
 // insert stages kid k of the expander, a successor of it, for its owning
-// shard.
-func (w *pworker) insert(it pitem, k int) {
+// shard; in recoverable mode its dense id goes to the edge-record word slot.
+func (w *pworker) insert(it pitem, k int, slot uint32) {
 	x := &w.x
 	h := x.kids[k].h
 	s := uint64(len(w.g.shards))
@@ -424,7 +555,7 @@ func (w *pworker) insert(it pitem, k int) {
 		w.crossShard++
 	}
 	d, cum := x.route(k, it.cum)
-	w.push(int(h%s), pending{h: h, parent: it.h, dec: encDec(d), from: it.id, cum: cum}, x.kidEnc(k))
+	w.push(int(h%s), pending{h: h, parent: it.h, dec: encDec(d), slot: slot, cum: cum}, x.kidEnc(k))
 }
 
 // push appends p, with encoding enc, to the outbox for shard si and inserts
@@ -448,7 +579,7 @@ func (w *pworker) push(si int, p pending, enc []uint64) {
 	} else {
 		sh.mu.Lock()
 	}
-	sh.insertLocked(ob, w.layer+1, w.log())
+	sh.insertLocked(ob, w.layer+1, w.records())
 	sh.mu.Unlock()
 	w.flushes++
 }
@@ -467,7 +598,7 @@ func (w *pworker) drain(first int) {
 		}
 		sh := &w.g.shards[si]
 		sh.mu.Lock()
-		sh.insertLocked(ob, w.layer+1, w.log())
+		sh.insertLocked(ob, w.layer+1, w.records())
 		sh.mu.Unlock()
 	}
 }
@@ -507,16 +638,16 @@ func (w *pworker) expand(it pitem, a *arena) {
 	}
 	w.transitions += len(x.kids)
 	for k := range x.kids {
-		w.insert(it, k)
+		w.insert(it, k, 0)
 	}
 }
 
 // expandRecov explores one state of the current layer in crash-enabled
 // recoverability mode: no ample reduction (crashes are never independent),
-// normalizations apply, and successor edges plus AllDone flags are logged
-// for the co-reachability pass. Post-crash runtime faults become candidate
-// counterexamples; the (state hash, decision)-minimal one is selected at the
-// barrier so the reported fault is deterministic.
+// normalizations apply, and the state's edge record plus AllDone flags are
+// logged for the co-reachability pass. Post-crash runtime faults become
+// candidate counterexamples; the (state hash, decision)-minimal one is
+// selected at the barrier so the reported fault is deterministic.
 func (w *pworker) expandRecov(it pitem, a *arena) {
 	if !w.tick() {
 		return
@@ -534,6 +665,17 @@ func (w *pworker) expandRecov(it pitem, a *arena) {
 		return
 	}
 	x.all(w.crash)
+	succ := 0
+	for k := range x.kids {
+		if x.kids[k].err == nil {
+			succ++
+		}
+	}
+	slot, err := w.recs.reserve(it.id, succ)
+	if err != nil {
+		w.g.fail(err)
+		return
+	}
 	for k := range x.kids {
 		if err := x.kids[k].err; err != nil {
 			if x.par.Crashes == 0 {
@@ -549,7 +691,8 @@ func (w *pworker) expandRecov(it pitem, a *arena) {
 			continue
 		}
 		w.transitions++
-		w.insert(it, k)
+		w.insert(it, k, slot)
+		slot++
 	}
 }
 
@@ -738,29 +881,16 @@ func (e *Engine) CheckRecoverableParallel(ctx context.Context, o ParallelOpts, c
 	}
 	res.Complete = true
 	// Co-reachability of completion over the dense graph: reverse BFS from
-	// the AllDone states along a CSR predecessor index built from the
-	// workers' edge logs.
+	// the AllDone states along a predecessor index built from the workers'
+	// edge records.
 	n := g.ids()
-	edges := 0
-	for _, w := range ws {
-		edges += len(w.edges.to)
+	logs := make([]*edgeRecs, len(ws))
+	for i, w := range ws {
+		logs[i] = &w.recs
 	}
-	cnt := make([]uint32, n+1)
-	for _, w := range ws {
-		for _, j := range w.edges.to {
-			cnt[j+1]++
-		}
-	}
-	for i := uint32(1); i <= n; i++ {
-		cnt[i] += cnt[i-1]
-	}
-	preds := make([]uint32, edges)
-	fill := make([]uint32, n)
-	for _, w := range ws {
-		for k, j := range w.edges.to {
-			preds[cnt[j]+fill[j]] = w.edges.from[k]
-			fill[j]++
-		}
+	start, preds, err := predIndex(n, logs)
+	if err != nil {
+		return nil, err
 	}
 	coreach := make([]bool, n)
 	var queue []uint32
@@ -775,7 +905,7 @@ func (e *Engine) CheckRecoverableParallel(ctx context.Context, o ParallelOpts, c
 	for len(queue) > 0 {
 		j := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		for _, i := range preds[cnt[j]:cnt[j+1]] {
+		for _, i := range preds[start[j]:start[j+1]] {
 			if !coreach[i] {
 				coreach[i] = true
 				queue = append(queue, i)

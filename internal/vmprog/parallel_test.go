@@ -2,7 +2,9 @@ package vmprog
 
 import (
 	"context"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -431,7 +433,7 @@ func TestOutboxProtocol(t *testing.T) {
 	recorded := func() int {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		return len(sh.parent)
+		return sh.parent.len()
 	}
 
 	push(batchMin - 1)
@@ -479,5 +481,125 @@ func TestOutboxProtocol(t *testing.T) {
 	if n := recorded(); n != batchMin+1+batchCap+10 || w.flushes != 2 || len(w.out[1].items) != 0 {
 		t.Fatalf("after drain: %d recorded, %d batches, %d pending; want %d, 2, 0",
 			n, w.flushes, len(w.out[1].items), batchMin+1+batchCap+10)
+	}
+}
+
+// TestEdgeRecords drives the edge records and the predecessor index built
+// from them against a map-based reverse index: seeded random records in one
+// to three workers' logs, from and to ids spread over three shards
+// (local*3 + shard), successor ids written in shuffled order as batch
+// inserts write them. Records without successors are common, and every 500
+// records one is sized to the space its block has left, so that it fills
+// the block exactly or needs one word more, which must start the next
+// block. Every predecessor multiset must match the reference, and the index
+// must drop every block it read. A record longer than a block, and a log
+// whose next block would overflow a 32-bit slot, must fail with an error.
+func TestEdgeRecords(t *testing.T) {
+	const shards, locals = 3, 4000
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		workers := 1 + int(seed%3)
+		id := func() uint32 { return uint32(rng.Intn(locals)*shards + rng.Intn(shards)) }
+		logs := make([]edgeRecs, workers)
+		want := map[uint32][]uint32{} // successor id -> predecessor ids
+		type write struct {
+			w        int
+			slot, to uint32
+		}
+		var writes []write
+		edges, empty, filled, straddled := 0, 0, 0, 0
+		for rec := 0; rec < 8000; rec++ {
+			w := rng.Intn(workers)
+			r := &logs[w]
+			k := rng.Intn(6)
+			last, used := len(r.blocks)-1, 0
+			if last >= 0 {
+				used = len(r.blocks[last])
+				if left := recBlock - used; rec%500 == 499 && left >= 2 {
+					k = left - 2 + rng.Intn(2)
+				}
+			}
+			from := id()
+			slot, err := r.reserve(from, k)
+			if err != nil {
+				t.Fatalf("seed %d: reserve(k=%d): %v", seed, k, err)
+			}
+			switch fits := last >= 0 && used+2+k <= recBlock; {
+			case fits && slot != uint32(last)<<recShift|uint32(used+2):
+				t.Fatalf("seed %d: a record that fits block %d at %d got slot %#x", seed, last, used, slot)
+			case !fits && slot != uint32(last+1)<<recShift|2:
+				t.Fatalf("seed %d: a record of %d words with %d left in its block got slot %#x, want the start of block %d",
+					seed, 2+k, recBlock-used, slot, last+1)
+			case fits && used+2+k == recBlock:
+				filled++
+			case !fits && last >= 0 && used+1+k == recBlock:
+				straddled++
+			}
+			if k == 0 {
+				empty++
+			}
+			for i := 0; i < k; i++ {
+				to := id()
+				writes = append(writes, write{w, slot + uint32(i), to})
+				want[to] = append(want[to], from)
+			}
+			edges += k
+		}
+		if empty == 0 || filled == 0 || straddled == 0 {
+			t.Fatalf("seed %d: %d empty records, %d block-filling, %d straddling; want each", seed, empty, filled, straddled)
+		}
+		rng.Shuffle(len(writes), func(i, j int) { writes[i], writes[j] = writes[j], writes[i] })
+		for _, wr := range writes {
+			logs[wr.w].set(wr.slot, wr.to)
+		}
+		ptrs := make([]*edgeRecs, workers)
+		for i := range logs {
+			ptrs[i] = &logs[i]
+		}
+		start, preds, err := predIndex(locals*shards, ptrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(preds) != edges || int(start[locals*shards]) != edges {
+			t.Fatalf("seed %d: %d predecessors, index ends at %d; want %d edges", seed, len(preds), start[locals*shards], edges)
+		}
+		for j := uint32(0); j < locals*shards; j++ {
+			got := slices.Clone(preds[start[j]:start[j+1]])
+			ref := want[j]
+			slices.Sort(got)
+			slices.Sort(ref)
+			if !slices.Equal(got, ref) {
+				t.Fatalf("seed %d: predecessors of %d are %v, want %v", seed, j, got, ref)
+			}
+		}
+		for i := range logs {
+			if logs[i].blocks != nil {
+				t.Fatalf("seed %d: worker %d's record blocks were not dropped", seed, i)
+			}
+		}
+		t.Logf("seed %d, %d workers: %d edges, %d empty records, %d filled a block, %d started a new one",
+			seed, workers, edges, empty, filled, straddled)
+	}
+
+	var r edgeRecs
+	if _, err := r.reserve(0, recBlock-1); err == nil {
+		t.Fatal("a record one word longer than a block was accepted")
+	}
+	if slot, err := r.reserve(0, recBlock-2); err != nil || slot != 2 {
+		t.Fatalf("a record exactly one block long: slot %d, %v", slot, err)
+	}
+	full := make([]uint32, recBlock)
+	r.blocks = make([][]uint32, maxRecBlocks-1, maxRecBlocks)
+	for i := range r.blocks {
+		r.blocks[i] = full
+	}
+	slot, err := r.reserve(5, 3)
+	if err != nil || slot != uint32(maxRecBlocks-1)<<recShift|2 {
+		t.Fatalf("the last block a slot reaches: slot %#x, %v", slot, err)
+	}
+	r.set(slot+2, 9)
+	r.blocks[maxRecBlocks-1] = full
+	if _, err := r.reserve(5, 0); err == nil {
+		t.Fatal("a record past the last block a uint32 slot reaches was accepted")
 	}
 }
