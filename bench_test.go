@@ -378,7 +378,7 @@ func BenchmarkFastVsReplayChecker(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := eng.Check(context.Background(), 0)
+			res, err := eng.Check(context.Background(), vmprog.ParallelOpts{})
 			if err != nil || !res.Complete || res.Violation {
 				b.Fatalf("%v %+v", err, res)
 			}

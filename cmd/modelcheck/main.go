@@ -45,8 +45,7 @@ func run() error {
 	collapse := flag.Bool("collapse-spins", true, "merge states differing only in spin iterations (sound for pure spin-wait algorithms)")
 	engine := flag.String("engine", "replay", "checker engine: replay (goroutine simulator, any registered lock) or fast (VM programs only; complete verification)")
 	reduce := flag.String("reduce", "full", "fast-engine reduction: none (full interleaving graph), ample (persistent sets), full (ample + symmetry canonicalization; strongest sound mode)")
-	workers := flag.Int("workers", 0, "fast engine: run the parallel sharded frontier checker with this many workers (0 = sequential; results are identical across worker counts)")
-	bitstate := flag.Uint("bitstate", 0, "fast engine: probabilistic bitstate hashing with 2^bits bits (0 = exact; implies the frontier engine; crash-free checks only)")
+	workers := flag.Int("workers", 0, "fast engine: frontier-engine worker count (0 = one worker; results are identical across worker counts)")
 	save := flag.String("save", "", "write a found violation's minimized schedule to this file")
 	replay := flag.String("replay", "", "replay a saved schedule instead of searching")
 	rmeMode := flag.Bool("rme", false, "run the crash-bounded recoverability check instead of the crash-free verification (fast engine, VM programs only)")
@@ -67,11 +66,11 @@ func run() error {
 		defer cancel()
 	}
 
-	// The parallel frontier engine backs the fast checker and the RME
-	// verdict; silently ignoring -workers on the replay engine would let a
-	// "parallel" run report sequential results.
-	if (*workers > 0 || *bitstate > 0) && *engine != "fast" && !*rmeMode && !*crashSearch {
-		return fmt.Errorf("-workers/-bitstate need the fast engine: add -engine fast (or -rme)")
+	// The frontier engine backs the fast checker and the RME verdict;
+	// silently ignoring -workers on the replay engine would let a
+	// "parallel" run report a replay result.
+	if *workers != 0 && *engine != "fast" && !*rmeMode && !*crashSearch {
+		return fmt.Errorf("-workers needs the fast engine: add -engine fast (or -rme)")
 	}
 
 	if *rmeMode || *crashSearch {
@@ -119,7 +118,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		return runFast(ctx, *alg, *n, ord, *maxStates, *reduce, *save, *workers, *bitstate)
+		return runFast(ctx, *alg, *n, ord, *maxStates, *reduce, *save, *workers)
 	}
 	rep, err := check.Exhaustive{
 		MaxStates:     *maxStates,
@@ -291,7 +290,7 @@ func printSchedule(prog *vmprog.Program, sched []tso.Decision) {
 // static reduction, and delta-debugging minimization of any counterexample
 // (schedules are recorded in the unreduced frame, so minimization replays
 // on a plain engine).
-func runFast(ctx context.Context, alg string, n int, ord tso.Ordering, maxStates int, reduce, save string, workers int, bitstate uint) error {
+func runFast(ctx context.Context, alg string, n int, ord tso.Ordering, maxStates int, reduce, save string, workers int) error {
 	prog, err := vmprog.Lookup(alg, n)
 	if err != nil {
 		return err
@@ -304,8 +303,7 @@ func runFast(ctx context.Context, alg string, n int, ord tso.Ordering, maxStates
 		check.WithOrdering(ord),
 		check.WithMaxStates(maxStates),
 		check.WithReduce(mode),
-		check.WithWorkers(workers),
-		check.WithBitstate(bitstate))
+		check.WithWorkers(workers))
 	if err != nil {
 		return err
 	}
@@ -316,12 +314,9 @@ func runFast(ctx context.Context, alg string, n int, ord tso.Ordering, maxStates
 	fmt.Printf("%s (VM), N=%d, %s, reduce=%s: explored %d states (%d transitions), complete=%v\n",
 		prog.Name, n, ord, mode, res.States, res.Transitions, res.Complete)
 	if !res.Violation {
-		switch {
-		case res.Probabilistic && res.Complete:
-			fmt.Println("no violation found (bitstate hashing: probabilistic coverage, NOT an exhaustive verdict)")
-		case res.Complete:
+		if res.Complete {
 			fmt.Println("VERIFIED: no schedule violates mutual exclusion (exhaustive)")
-		default:
+		} else {
 			fmt.Println("no violation found within the budget (partial verification)")
 		}
 		return nil

@@ -39,7 +39,7 @@ func main() {
 	parallel := flag.Int("parallel", 1, "number of experiments to run concurrently")
 	cache := flag.String("cache", "", "persistent artifact-store directory (empty = fresh temp store, no caching across runs)")
 	reduce := flag.String("reduce", "full", "fast-engine reduction for model-checking experiments: none, ample, or full (strongest sound mode)")
-	workers := flag.Int("workers", 0, "fast-engine worker count for model-checking experiments and -rme verdicts: 0 = sequential, N = parallel sharded frontier checker (identical verdicts)")
+	workers := flag.Int("workers", 0, "frontier-engine worker count for model-checking experiments and -rme verdicts (0 = one worker; results are identical across worker counts)")
 	rmeTier := flag.Bool("rme", false, "run the recoverable-mutual-exclusion tier (crashsearch jobs) instead of the experiments; arguments name VM programs")
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

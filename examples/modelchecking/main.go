@@ -34,7 +34,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tsoRes, err := tsoEng.Check(context.Background(), 0)
+	tsoRes, err := tsoEng.Check(context.Background(), vmprog.ParallelOpts{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	psoRes, err := psoEng.Check(context.Background(), 0)
+	psoRes, err := psoEng.Check(context.Background(), vmprog.ParallelOpts{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	weakRes, err := weakEng.Check(context.Background(), 0)
+	weakRes, err := weakEng.Check(context.Background(), vmprog.ParallelOpts{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -113,17 +113,17 @@ type BenchRMEEntry struct {
 }
 
 // ParallelBenchEntry pins one representative lock's frontier-engine
-// exploration in ReduceNone mode, where the parallel counts are provably
-// equal to the sequential engine's on complete non-violating runs: the row
-// pins cross-engine parity as well as cross-worker-count determinism. As
-// with SimBench, wall-clock cannot live in a byte-synced artifact; the
-// timing half (workers 1, 2 and NumCPU) lives in the flag-gated
+// exploration in ReduceNone mode, where a complete non-violating run
+// explores the full reachable space: the row pins the exact size of that
+// space as well as cross-worker-count determinism. As with SimBench,
+// wall-clock cannot live in a byte-synced artifact; the timing half
+// (workers 1, 2 and NumCPU) lives in the flag-gated
 // TestParallelScalingGuard.
 type ParallelBenchEntry struct {
 	Name string `json:"name"`
 	N    int    `json:"n"`
 	// States / Transitions are the exact exploration counts, identical for
-	// every worker count and for the sequential engine.
+	// every worker count.
 	States      int `json:"states"`
 	Transitions int `json:"transitions"`
 }
@@ -133,9 +133,8 @@ type ParallelBenchEntry struct {
 // with the crash-bounded exploration completing at the recorded size. The
 // run is far too large for the byte-sync recomputation (about 20 minutes),
 // so the row is pinned from constants and reproduced by the flag-gated
-// TestTournamentVerdictDecided on the parallel frontier engine, which drops
-// states after expansion and holds the exploration in memory the sequential
-// checker cannot.
+// TestTournamentVerdictDecided on the frontier engine, which drops states
+// after expansion and so holds the exploration in memory.
 type TournamentVerdictBaseline struct {
 	N          int  `json:"n"`
 	MaxCrashes int  `json:"max_crashes"`
@@ -281,8 +280,8 @@ func RMEBench(ctx context.Context) ([]BenchRMEEntry, error) {
 
 // parallelBenchPrograms are the representative locks of the parallel
 // section: the two one-shot queue locks and the Peterson tournament, all at
-// 4 processes, in ReduceNone mode (the mode whose parallel counts are
-// pinned equal to the sequential engine's).
+// 4 processes, in ReduceNone mode (the mode whose complete counts are the
+// size of the full reachable space).
 var parallelBenchPrograms = []struct {
 	name string
 	n    int
@@ -386,15 +385,15 @@ func AnalysisBench(ctx context.Context, ns []int, maxStates int, padvetRoot stri
 			if err != nil {
 				return nil, err
 			}
-			plain, err := FastVerify(ctx, p, nn, FastOptions{MaxStates: maxStates, Reduce: ReduceNone})
+			plain, err := Verify(ctx, p, nn, WithMaxStates(maxStates), WithReduce(ReduceNone))
 			if err != nil {
 				return nil, err
 			}
-			ample, err := FastVerify(ctx, p, nn, FastOptions{MaxStates: maxStates, Reduce: ReduceAmple})
+			ample, err := Verify(ctx, p, nn, WithMaxStates(maxStates), WithReduce(ReduceAmple))
 			if err != nil {
 				return nil, err
 			}
-			full, err := FastVerify(ctx, p, nn, FastOptions{MaxStates: maxStates, Reduce: ReduceFull})
+			full, err := Verify(ctx, p, nn, WithMaxStates(maxStates), WithReduce(ReduceFull))
 			if err != nil {
 				return nil, err
 			}

@@ -4,15 +4,16 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"priceadaptive/internal/vmprog"
 )
 
-// TestDeadlineEndsAsTimeBudget holds Verify and VerifyRecoverable, on the
-// sequential engines and at one and two frontier workers, to the budget
-// contract for time: an exploration that its context's deadline stops
+// TestDeadlineEndsAsTimeBudget holds Verify and VerifyRecoverable, at the
+// default worker count (0, one worker) and at one and two workers, to the
+// budget contract for time: an exploration that its context's deadline stops
 // returns a BudgetError of kind BudgetTime (so a job that hits its timeout
 // carries the budget_exhausted code), promptly, and leaves no goroutine
 // behind; a cancelled context still returns context.Canceled. The 20 ms
@@ -73,15 +74,34 @@ func TestDeadlineEndsAsTimeBudget(t *testing.T) {
 }
 
 // waitGoroutines polls, yielding the processor, until the goroutine count
-// is back to base, and fails the test if it does not get there.
+// is back to base, and fails the test if it is not back within a few
+// seconds. A worker that has returned its last item may still be inside
+// its WaitGroup's Done when the call returns, and under the race detector
+// on a loaded host it can take a while to be scheduled again; a leaked
+// goroutine never exits, so the bound only has to outlast that.
 func waitGoroutines(t *testing.T, base int) {
 	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
 	n := runtime.NumGoroutine()
-	for i := 0; i < 10000 && n > base; i++ {
+	for n > base && time.Now().Before(deadline) {
 		runtime.Gosched()
 		n = runtime.NumGoroutine()
 	}
 	if n > base {
 		t.Fatalf("%d goroutines left running, %d before the call", n, base)
+	}
+}
+
+// TestNegativeWorkersRejected pins that a negative worker count is an error
+// of Verify and VerifyRecoverable, raised before anything is built or
+// explored: the nil program would panic in any later step.
+func TestNegativeWorkersRejected(t *testing.T) {
+	ctx := context.Background()
+	if _, err := Verify(ctx, nil, 2, WithWorkers(-1)); err == nil || !strings.Contains(err.Error(), "worker count") {
+		t.Fatalf("Verify with -1 workers: %v", err)
+	}
+	if _, err := VerifyRecoverable(ctx, nil, 2, WithWorkers(-1),
+		WithCrashes(vmprog.CrashOpts{MaxCrashes: 2, MaxPerProc: 1})); err == nil || !strings.Contains(err.Error(), "worker count") {
+		t.Fatalf("VerifyRecoverable with -1 workers: %v", err)
 	}
 }

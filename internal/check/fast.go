@@ -1,14 +1,12 @@
 package check
 
 import (
-	"context"
 	"fmt"
 
-	"priceadaptive/internal/tso"
 	"priceadaptive/internal/vmprog"
 )
 
-// ReduceMode selects how much of the static reduction engine FastVerify
+// ReduceMode selects how much of the static reduction engine Verify
 // installs before exploring.
 type ReduceMode string
 
@@ -35,27 +33,6 @@ func ParseReduceMode(s string) (ReduceMode, error) {
 	return "", fmt.Errorf("check: unknown reduce mode %q (want none, ample or full)", s)
 }
 
-// FastOptions configures FastVerify.
-//
-// Deprecated: use Verify with functional options (WithOrdering,
-// WithMaxStates, WithReduce, WithFacts); FastVerify is a shim over it.
-type FastOptions struct {
-	// PSO selects partial store ordering (out-of-order commits).
-	PSO bool
-	// MaxStates bounds the exploration (0: the engine default).
-	MaxStates int
-	// Reduce selects the reduction level (empty: ReduceFull). Every level
-	// is sound - TestReductionDifferential holds all modes to identical
-	// verdicts registry-wide - but state counts are only comparable within
-	// one mode.
-	Reduce ReduceMode
-	// Facts, when non-nil, are pre-derived reduction facts for the program
-	// at the requested n (e.g. from the jobs artifact cache); FastVerify
-	// derives them itself otherwise. They must carry the current facts
-	// version or verification fails with vmprog.ErrStaleFacts.
-	Facts *vmprog.PruneFacts
-}
-
 // ReduceFacts derives the engine facts for p at n restricted to the given
 // mode: nil for ReduceNone, footprints only (no liveness normalization, no
 // symmetry) for ReduceAmple, everything for ReduceFull. The base facts are
@@ -75,24 +52,4 @@ func ReduceFacts(base *vmprog.PruneFacts, mode ReduceMode) *vmprog.PruneFacts {
 		return &f
 	}
 	return base
-}
-
-// FastVerify exhaustively model-checks a VM lock program for n processes on
-// the fast clonable-state engine, reduced by the static analyzer's
-// independence and symmetry facts per opts.Reduce. It is the
-// programs-as-data counterpart of Exhaustive.Verify: no goroutines, no
-// replaying, true state snapshots.
-//
-// Deprecated: use Verify with functional options; this shim maps FastOptions
-// onto the unified Options surface (always the sequential engine).
-func FastVerify(ctx context.Context, p *vmprog.Program, n int, opts FastOptions) (*vmprog.CheckResult, error) {
-	ord := tso.TSO
-	if opts.PSO {
-		ord = tso.PSO
-	}
-	return Verify(ctx, p, n,
-		WithOrdering(ord),
-		WithMaxStates(opts.MaxStates),
-		WithReduce(opts.Reduce),
-		WithFacts(opts.Facts))
 }

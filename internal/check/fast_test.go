@@ -33,21 +33,19 @@ type reductionReportEntry struct {
 	Full      int    `json:"full_states"`
 }
 
-// TestReductionDifferential runs every registry program through the fast
-// engine in every reduction mode - none, ample, full - and requires
-// identical verdicts. Any violation schedule found by a reduced run must
-// replay to a violation on an unreduced engine, so a reduction bug cannot
-// hide behind a lucky verdict match. The PSO ordering is covered too for
-// the size-parametric programs (the buffered-commit decisions exercise the
-// schedule translation's variable remapping). When REDUCTION_REPORT names
-// a file, the per-program comparison is written there as JSON for the CI
-// artifact.
+// TestReductionDifferential runs every registry program through Verify in
+// every reduction mode - none, ample, full - and requires each mode's
+// verdict to equal the unreduced reference search's (oracleCheck). Any
+// violation schedule found by a reduced run must replay to a violation on
+// an unreduced engine, so a reduction bug cannot hide behind a lucky
+// verdict match. The PSO ordering is covered too for the size-parametric
+// programs (the buffered-commit decisions exercise the schedule
+// translation's variable remapping). When REDUCTION_REPORT names a file,
+// the per-program comparison is written there as JSON for the CI artifact.
 func TestReductionDifferential(t *testing.T) {
 	var report []reductionReportEntry
 	for _, e := range vmprog.Registry() {
-		e := e
 		for _, pso := range []bool{false, true} {
-			pso := pso
 			name := e.Name
 			if pso {
 				name += "/pso"
@@ -64,50 +62,39 @@ func TestReductionDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				ord := tso.TSO
+				if pso {
+					ord = tso.PSO
+				}
 				ctx := context.Background()
 				budget := 1 << 22
+				ref, err := oracleCheck(plainEngine(t, p, n, ord), budget)
+				if err != nil {
+					t.Fatalf("oracle: %v", err)
+				}
 				res := map[ReduceMode]*vmprog.CheckResult{}
 				for _, mode := range []ReduceMode{ReduceNone, ReduceAmple, ReduceFull} {
-					r, err := FastVerify(ctx, p, n, FastOptions{
-						PSO: pso, MaxStates: budget, Reduce: mode,
-					})
+					r, err := Verify(ctx, p, n, WithOrdering(ord), WithMaxStates(budget), WithReduce(mode))
 					if err != nil {
 						t.Fatalf("%s: %v", mode, err)
+					}
+					if got, want := verdict(r), verdict(ref); got != want {
+						t.Fatalf("%s verdict %q, oracle %q", mode, got, want)
+					}
+					if r.Violation {
+						// Replay the run's counterexample, translated back to
+						// the real frame, without any reduction.
+						replayViolationOn(t, p, n, ord, r.Schedule)
 					}
 					res[mode] = r
 				}
 				plain := res[ReduceNone]
 				for _, mode := range []ReduceMode{ReduceAmple, ReduceFull} {
-					red := res[mode]
-					if got, want := verdict(red), verdict(plain); got != want {
-						t.Fatalf("%s verdict %q, unreduced %q", mode, got, want)
-					}
 					// Violated runs stop at the first counterexample, so
 					// their counts measure time-to-bug and depend on search
 					// order; only complete explorations must shrink.
-					if !plain.Violation && red.States > plain.States {
+					if red := res[mode]; !plain.Violation && red.States > plain.States {
 						t.Fatalf("%s grew the state space: %d > %d", mode, red.States, plain.States)
-					}
-					if red.Violation {
-						// Replay the reduced run's counterexample, translated
-						// back to the real frame, without any reduction.
-						ord := tso.TSO
-						if pso {
-							ord = tso.PSO
-						}
-						eng, err := vmprog.NewEngineOrdering(p, n, ord)
-						if err != nil {
-							t.Fatal(err)
-						}
-						st := eng.Initial()
-						for _, d := range red.Schedule {
-							if err := eng.Apply(st, d); err != nil {
-								t.Fatalf("%s schedule does not replay: %v", mode, err)
-							}
-						}
-						if !eng.Violated(st) {
-							t.Fatalf("%s schedule does not reproduce the violation", mode)
-						}
 					}
 				}
 				if !plain.Violation && res[ReduceFull].AmpleSteps == 0 {
@@ -117,8 +104,8 @@ func TestReductionDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				t.Logf("states none=%d ample=%d full=%d, symmetric=%v",
-					plain.States, res[ReduceAmple].States, res[ReduceFull].States, pr.Symmetric)
+				t.Logf("states oracle=%d none=%d ample=%d full=%d, symmetric=%v",
+					ref.States, plain.States, res[ReduceAmple].States, res[ReduceFull].States, pr.Symmetric)
 				report = append(report, reductionReportEntry{
 					Name: e.Name, N: n, PSO: pso,
 					Violated:  plain.Violation,
@@ -142,8 +129,8 @@ func TestReductionDifferential(t *testing.T) {
 }
 
 // TestFastVerifyStaleFacts pins the typed rejection of outdated fact
-// payloads: deserialized facts carrying an older version must fail with
-// vmprog.ErrStaleFacts instead of silently exploring unreduced.
+// payloads: deserialized facts carrying an older version must fail Verify
+// with vmprog.ErrStaleFacts instead of silently exploring unreduced.
 func TestFastVerifyStaleFacts(t *testing.T) {
 	p := vmprog.MustPeterson(true)
 	facts, err := por.Facts(p, 2)
@@ -152,7 +139,7 @@ func TestFastVerifyStaleFacts(t *testing.T) {
 	}
 	stale := *facts
 	stale.Version--
-	_, err = FastVerify(context.Background(), p, 2, FastOptions{Facts: &stale})
+	_, err = Verify(context.Background(), p, 2, WithFacts(&stale))
 	if !errors.Is(err, vmprog.ErrStaleFacts) {
 		t.Fatalf("want ErrStaleFacts, got %v", err)
 	}
@@ -195,7 +182,7 @@ func BenchmarkFastVerifyReduction(b *testing.B) {
 			mode := mode
 			b.Run(fmt.Sprintf("%s/reduce=%s", alg, mode), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					res, err := FastVerify(context.Background(), p, n, FastOptions{Reduce: mode})
+					res, err := Verify(context.Background(), p, n, WithReduce(mode))
 					if err != nil {
 						b.Fatal(err)
 					}

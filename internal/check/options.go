@@ -10,21 +10,19 @@ import (
 	"priceadaptive/internal/vmprog"
 )
 
-// Options is the unified configuration for the model-checking entry points
-// Verify and VerifyRecoverable, collapsing the grown-by-accretion trio of
-// FastOptions, vmprog.CrashOpts parameters and bare maxStates ints into one
-// surface. Build it with NewOptions and the With* functional options
-// (mirroring jobs.NewQueue); the zero value is a sensible default: TSO, full
-// reduction, engine-default state budget, the sequential engine.
+// Options is the configuration of the model-checking entry points Verify
+// and VerifyRecoverable. Build it with NewOptions and the With* functional
+// options (mirroring jobs.NewQueue); the zero value is a sensible default:
+// TSO, full reduction, engine-default state budget, one worker.
 type Options struct {
 	// Ordering is the memory model (zero value: tso.TSO).
 	Ordering tso.Ordering
 	// MaxStates bounds the exploration (0: the engine default, 1<<20).
 	MaxStates int
 	// Reduce selects the reduction level (empty: ReduceFull). Every level
-	// is sound — TestReductionDifferential holds all modes to identical
-	// verdicts registry-wide — but state counts are only comparable within
-	// one mode.
+	// is sound — TestReductionDifferential holds all modes to the verdicts
+	// of an unreduced reference search registry-wide — but state counts are
+	// only comparable within one mode.
 	Reduce ReduceMode
 	// Facts, when non-nil, are pre-derived reduction facts for the program
 	// at the requested n (e.g. from the jobs artifact cache); derived on
@@ -33,17 +31,10 @@ type Options struct {
 	Facts *vmprog.PruneFacts
 	// Crash is the crash budget for VerifyRecoverable (ignored by Verify).
 	Crash vmprog.CrashOpts
-	// Workers selects the engine: 0 runs the sequential engines
-	// (depth-first Check / breadth-first CheckRecoverable), any positive
-	// value runs the parallel sharded frontier engine with that many
-	// workers. Parallel results are identical across worker counts, so
-	// Workers=1 is the determinism reference, not a sequential fallback.
+	// Workers is the frontier engine's worker count (0: one worker; a
+	// negative count is an error). Results are identical across worker
+	// counts.
 	Workers int
-	// Bitstate, when non-zero, switches Verify to bitstate hashing with
-	// 1<<Bitstate bits on the frontier engine (implying it even when
-	// Workers is 0); the result is marked Probabilistic and must never be
-	// reported as an exact verdict. VerifyRecoverable rejects it.
-	Bitstate uint
 }
 
 // Option mutates Options; see NewOptions.
@@ -64,12 +55,8 @@ func WithFacts(f *vmprog.PruneFacts) Option { return func(o *Options) { o.Facts 
 // WithCrashes sets the crash budget for VerifyRecoverable.
 func WithCrashes(c vmprog.CrashOpts) Option { return func(o *Options) { o.Crash = c } }
 
-// WithWorkers selects the parallel frontier engine with n workers (0 keeps
-// the sequential engine).
+// WithWorkers sets the frontier engine's worker count.
 func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
-
-// WithBitstate selects probabilistic bitstate hashing with 1<<bits bits.
-func WithBitstate(bits uint) Option { return func(o *Options) { o.Bitstate = bits } }
 
 // NewOptions applies the options to a zero Options value.
 func NewOptions(opts ...Option) Options {
@@ -81,8 +68,12 @@ func NewOptions(opts ...Option) Options {
 }
 
 // engineFor builds the engine for p at n per o: ordering applied, reduction
-// facts derived (or taken from o.Facts) and installed per o.Reduce.
+// facts derived (or taken from o.Facts) and installed per o.Reduce. It
+// rejects a negative worker count before it builds anything.
 func engineFor(p *vmprog.Program, n int, o Options) (*vmprog.Engine, error) {
+	if o.Workers < 0 {
+		return nil, fmt.Errorf("check: worker count must not be negative, got %d", o.Workers)
+	}
 	eng, err := vmprog.NewEngineOrdering(p, n, o.Ordering)
 	if err != nil {
 		return nil, err
@@ -106,12 +97,11 @@ func engineFor(p *vmprog.Program, n int, o Options) (*vmprog.Engine, error) {
 	return eng, nil
 }
 
-// Verify exhaustively model-checks a VM lock program for n processes: the
-// unified entry point over the sequential DFS engine (Workers 0) and the
-// parallel sharded frontier engine (WithWorkers / WithBitstate), reduced by
-// the static analyzer's independence and symmetry facts per WithReduce. A
-// context deadline that stops the exploration is reported as a BudgetError
-// of kind BudgetTime; a cancelled context as context.Canceled.
+// Verify exhaustively model-checks a VM lock program for n processes on the
+// frontier engine (vmprog.Engine.Check), reduced by the static analyzer's
+// independence and symmetry facts per WithReduce. A context deadline that
+// stops the exploration is reported as a BudgetError of kind BudgetTime; a
+// cancelled context as context.Canceled.
 //
 //	res, err := check.Verify(ctx, p, n, check.WithWorkers(8), check.WithMaxStates(1<<24))
 func Verify(ctx context.Context, p *vmprog.Program, n int, opts ...Option) (*vmprog.CheckResult, error) {
@@ -120,16 +110,7 @@ func Verify(ctx context.Context, p *vmprog.Program, n int, opts ...Option) (*vmp
 	if err != nil {
 		return nil, err
 	}
-	var res *vmprog.CheckResult
-	if o.Workers > 0 || o.Bitstate > 0 {
-		res, err = eng.CheckParallel(ctx, vmprog.ParallelOpts{
-			Workers:      o.Workers,
-			MaxStates:    o.MaxStates,
-			BitstateBits: o.Bitstate,
-		})
-	} else {
-		res, err = eng.Check(ctx, o.MaxStates)
-	}
+	res, err := eng.Check(ctx, o.parallel())
 	if err != nil {
 		return nil, deadlineBudget(err)
 	}
@@ -137,31 +118,24 @@ func Verify(ctx context.Context, p *vmprog.Program, n int, opts ...Option) (*vmp
 }
 
 // VerifyRecoverable computes the recoverability verdict of a VM program
-// under the bounded crash adversary of WithCrashes: the unified entry point
-// over the sequential breadth-first checker (Workers 0) and the parallel
-// frontier engine (WithWorkers), which drops states after expansion and so
-// completes crash spaces the sequential checker cannot hold in memory.
-// Ample reduction is never applied (crashes are never independent); the
-// state normalizations of WithReduce are. Deadlines and cancellation end it
-// as they end Verify.
+// under the bounded crash adversary of WithCrashes on the frontier engine
+// (vmprog.Engine.CheckRecoverable). Ample reduction is never applied
+// (crashes are never independent); the state normalizations of WithReduce
+// are. Deadlines and cancellation end it as they end Verify.
 func VerifyRecoverable(ctx context.Context, p *vmprog.Program, n int, opts ...Option) (*rme.Verdict, error) {
 	o := NewOptions(opts...)
 	eng, err := engineFor(p, n, o)
 	if err != nil {
 		return nil, err
 	}
-	var v *rme.Verdict
-	if o.Workers > 0 || o.Bitstate > 0 {
-		v, err = rme.CheckRecoverabilityParallel(ctx, eng, vmprog.ParallelOpts{
-			Workers:      o.Workers,
-			MaxStates:    o.MaxStates,
-			BitstateBits: o.Bitstate,
-		}, o.Crash)
-	} else {
-		v, err = rme.CheckRecoverability(ctx, eng, o.MaxStates, o.Crash)
-	}
+	v, err := rme.CheckRecoverability(ctx, eng, o.parallel(), o.Crash)
 	if err != nil {
 		return nil, deadlineBudget(err)
 	}
 	return v, nil
+}
+
+// parallel returns the frontier engine's options.
+func (o Options) parallel() vmprog.ParallelOpts {
+	return vmprog.ParallelOpts{Workers: o.Workers, MaxStates: o.MaxStates}
 }

@@ -7,9 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
+	"priceadaptive/internal/rme"
 	"priceadaptive/internal/tso"
 	"priceadaptive/internal/vmprog"
 )
@@ -20,27 +22,22 @@ var (
 )
 
 // TestParallelDifferential is the registry-wide differential harness of the
-// parallel sharded frontier engine: every program, both orderings, every
-// reduction mode, checked sequentially and at two worker counts. The
-// contract it enforces:
+// frontier engine: every program, both orderings, every reduction mode,
+// checked by the unreduced reference search (oracleCheck) and by Verify at
+// two worker counts. The contract it enforces:
 //
-//   - verdicts (violation, completeness) agree between the sequential and
-//     the parallel engine everywhere;
-//   - parallel results are bit-identical across worker counts (states,
-//     transitions, schedules) — worker count is an execution detail, never
-//     an input to the answer;
-//   - on complete non-violating ReduceNone runs the parallel state and
-//     transition counts equal the sequential engine's exactly (with ample
-//     sets the frozen-layer proviso may keep strictly fewer states than the
-//     DFS proviso, so only verdicts are comparable);
-//   - every parallel counterexample replays to a violation on an unreduced
-//     sequential engine.
+//   - every run's verdict (violation, completeness) equals the oracle's;
+//   - results are bit-identical across worker counts (states, transitions,
+//     schedules) — worker count is an execution detail, never an input to
+//     the answer;
+//   - on complete non-violating ReduceNone runs the state and transition
+//     counts equal the oracle's exactly (with ample sets and normalizations
+//     the explored graph is smaller, so only verdicts are comparable);
+//   - every counterexample replays to a violation on an unreduced engine.
 func TestParallelDifferential(t *testing.T) {
 	workerCounts := []int{1, 3}
 	for _, e := range vmprog.Registry() {
-		e := e
 		for _, ord := range []tso.Ordering{tso.TSO, tso.PSO} {
-			ord := ord
 			name := e.Name
 			if ord == tso.PSO {
 				name += "/pso"
@@ -59,13 +56,12 @@ func TestParallelDifferential(t *testing.T) {
 				}
 				ctx := context.Background()
 				budget := 1 << 21
+				ref, err := oracleCheck(plainEngine(t, p, n, ord), budget)
+				if err != nil {
+					t.Fatalf("oracle: %v", err)
+				}
 				for _, mode := range []ReduceMode{ReduceNone, ReduceAmple, ReduceFull} {
-					seq, err := Verify(ctx, p, n,
-						WithOrdering(ord), WithMaxStates(budget), WithReduce(mode))
-					if err != nil {
-						t.Fatalf("%s sequential: %v", mode, err)
-					}
-					var ref *vmprog.CheckResult
+					var first *vmprog.CheckResult
 					for _, w := range workerCounts {
 						par, err := Verify(ctx, p, n,
 							WithOrdering(ord), WithMaxStates(budget), WithReduce(mode),
@@ -73,34 +69,29 @@ func TestParallelDifferential(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s workers=%d: %v", mode, w, err)
 						}
-						if par.Violation != seq.Violation || par.Complete != seq.Complete {
-							t.Fatalf("%s workers=%d verdict violation=%v complete=%v, sequential violation=%v complete=%v",
-								mode, w, par.Violation, par.Complete, seq.Violation, seq.Complete)
+						if par.Violation != ref.Violation || par.Complete != ref.Complete {
+							t.Fatalf("%s workers=%d verdict violation=%v complete=%v, oracle violation=%v complete=%v",
+								mode, w, par.Violation, par.Complete, ref.Violation, ref.Complete)
 						}
-						if mode == ReduceNone && seq.Complete && !seq.Violation {
-							if par.States != seq.States || par.Transitions != seq.Transitions {
-								t.Fatalf("%s workers=%d counts %d/%d, sequential %d/%d",
-									mode, w, par.States, par.Transitions, seq.States, seq.Transitions)
-							}
-						}
-						if ref == nil {
-							ref = par
-						} else {
+						if mode == ReduceNone && ref.Complete {
 							if par.States != ref.States || par.Transitions != ref.Transitions {
-								t.Fatalf("%s: counts differ across worker counts: %d/%d vs %d/%d",
-									mode, par.States, par.Transitions, ref.States, ref.Transitions)
-							}
-							if len(par.Schedule) != len(ref.Schedule) {
-								t.Fatalf("%s: schedules differ across worker counts", mode)
-							}
-							for i := range par.Schedule {
-								if par.Schedule[i] != ref.Schedule[i] {
-									t.Fatalf("%s: schedules differ across worker counts at %d", mode, i)
-								}
+								t.Fatalf("%s workers=%d counts %d/%d, oracle %d/%d",
+									mode, w, par.States, par.Transitions, ref.States, ref.Transitions)
 							}
 						}
 						if par.Violation {
 							replayViolationOn(t, p, n, ord, par.Schedule)
+						}
+						if first == nil {
+							first = par
+							continue
+						}
+						if par.States != first.States || par.Transitions != first.Transitions {
+							t.Fatalf("%s: counts differ across worker counts: %d/%d vs %d/%d",
+								mode, par.States, par.Transitions, first.States, first.Transitions)
+						}
+						if !slices.Equal(par.Schedule, first.Schedule) {
+							t.Fatalf("%s: schedules differ across worker counts", mode)
 						}
 					}
 				}
@@ -109,14 +100,21 @@ func TestParallelDifferential(t *testing.T) {
 	}
 }
 
-// replayViolationOn applies sched on a fresh unreduced engine and requires
-// it to end in an exclusion violation.
-func replayViolationOn(t *testing.T, p *vmprog.Program, n int, ord tso.Ordering, sched []tso.Decision) {
+// plainEngine builds an unreduced engine for p at n under ord.
+func plainEngine(t *testing.T, p *vmprog.Program, n int, ord tso.Ordering) *vmprog.Engine {
 	t.Helper()
 	eng, err := vmprog.NewEngineOrdering(p, n, ord)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return eng
+}
+
+// replayViolationOn applies sched on a fresh unreduced engine and requires
+// it to end in an exclusion violation.
+func replayViolationOn(t *testing.T, p *vmprog.Program, n int, ord tso.Ordering, sched []tso.Decision) {
+	t.Helper()
+	eng := plainEngine(t, p, n, ord)
 	st := eng.Initial()
 	for i, d := range sched {
 		if err := eng.Apply(st, d); err != nil {
@@ -128,13 +126,17 @@ func replayViolationOn(t *testing.T, p *vmprog.Program, n int, ord tso.Ordering,
 	}
 }
 
-// TestParallelRecoverableDifferential compares the sequential and the
-// parallel crash-bounded recoverability checkers registry-wide under the
-// standard 2-crash adversary: identical verdicts, identical completeness,
-// identical state and transition counts (the recoverable exploration never
-// uses ample sets, so counts are comparable in every mode), and every
+// TestParallelRecoverableDifferential holds the frontier engine's
+// crash-bounded recoverability check to the unreduced reference search
+// (oracleRecoverable) registry-wide under the standard 2-crash adversary,
+// under TSO and PSO, unreduced and fully reduced (the recoverable
+// exploration never uses ample sets, only the state normalizations), at
+// two worker counts: identical verdicts (completeness, recoverability and
+// the counterexample class), unreduced state and transition counts equal to
+// the oracle's wherever the crash space is exhausted without a
+// counterexample, results identical across worker counts, and every
 // decisive counterexample replays on an unreduced engine. Programs whose
-// crash space exceeds the harness budget even sequentially are skipped here;
+// unreduced crash space exceeds the harness budget are skipped here;
 // tournament's decided verdict has its own flag-gated reproduction
 // (TestTournamentVerdictDecided).
 func TestParallelRecoverableDifferential(t *testing.T) {
@@ -142,51 +144,69 @@ func TestParallelRecoverableDifferential(t *testing.T) {
 	budget := 1 << 19
 	ctx := context.Background()
 	for _, e := range vmprog.Registry() {
-		e := e
-		t.Run(e.Name, func(t *testing.T) {
-			n := 2
-			if e.FixedN > 0 {
-				n = e.FixedN
+		for _, ord := range []tso.Ordering{tso.TSO, tso.PSO} {
+			name := e.Name
+			if ord == tso.PSO {
+				name += "/pso"
 			}
-			if n > 2 && testing.Short() {
-				t.Skip("large state space")
-			}
-			p, err := e.Build(n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seq, err := VerifyRecoverable(ctx, p, n,
-				WithMaxStates(budget), WithCrashes(crash))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !seq.Complete && !seq.Violation && !seq.Fault {
-				t.Skipf("crash space exceeds the harness budget (%d states)", seq.States)
-			}
-			for _, w := range []int{1, 3} {
-				par, err := VerifyRecoverable(ctx, p, n,
-					WithMaxStates(budget), WithCrashes(crash), WithWorkers(w))
+			t.Run(name, func(t *testing.T) {
+				n := 2
+				if e.FixedN > 0 {
+					n = e.FixedN
+				}
+				if n > 2 && (testing.Short() || ord == tso.PSO) {
+					t.Skip("large state space")
+				}
+				p, err := e.Build(n)
 				if err != nil {
-					t.Fatalf("workers=%d: %v", w, err)
+					t.Fatal(err)
 				}
-				if par.Complete != seq.Complete || par.Recoverable != seq.Recoverable ||
-					par.Violation != seq.Violation || par.Stuck != seq.Stuck || par.Fault != seq.Fault {
-					t.Fatalf("workers=%d verdict %s, sequential %s", w, par, seq)
+				ref, err := oracleRecoverable(plainEngine(t, p, n, ord), budget, crash)
+				if err != nil {
+					t.Fatalf("oracle: %v", err)
 				}
-				// Violation and fault runs stop at their first counterexample
-				// (an engine-dependent point); only explorations that exhaust
-				// the crash space have comparable counts.
-				if !seq.Violation && !seq.Fault {
-					if par.States != seq.States || par.Transitions != seq.Transitions {
-						t.Fatalf("workers=%d counts %d/%d, sequential %d/%d",
-							w, par.States, par.Transitions, seq.States, seq.Transitions)
+				if !ref.Complete {
+					t.Skipf("unreduced crash space exceeds the harness budget (%d states)", ref.States)
+				}
+				for _, mode := range []ReduceMode{ReduceNone, ReduceFull} {
+					var first *rme.Verdict
+					for _, w := range []int{1, 3} {
+						par, err := VerifyRecoverable(ctx, p, n,
+							WithOrdering(ord), WithMaxStates(budget), WithCrashes(crash),
+							WithReduce(mode), WithWorkers(w))
+						if err != nil {
+							t.Fatalf("%s workers=%d: %v", mode, w, err)
+						}
+						if par.Complete != ref.Complete || par.Recoverable != ref.Recoverable ||
+							par.Violation != ref.Violation || par.Stuck != ref.Stuck || par.Fault != ref.Fault {
+							t.Fatalf("%s workers=%d verdict %s, oracle complete=%v recoverable=%v violation=%v stuck=%v fault=%v",
+								mode, w, par, ref.Complete, ref.Recoverable, ref.Violation, ref.Stuck, ref.Fault)
+						}
+						// Violation and fault runs stop at the layer of their
+						// first counterexample; only explorations that exhaust
+						// the crash space have comparable counts.
+						if mode == ReduceNone && !ref.Violation && !ref.Fault {
+							if par.States != ref.States || par.Transitions != ref.Transitions {
+								t.Fatalf("%s workers=%d counts %d/%d, oracle %d/%d",
+									mode, w, par.States, par.Transitions, ref.States, ref.Transitions)
+							}
+						}
+						if !par.Recoverable {
+							replayRecovCounterexample(t, p, n, ord, par.Violation, par.Fault, par.Counterexample)
+						}
+						if first == nil {
+							first = par
+							continue
+						}
+						if par.String() != first.String() || par.Transitions != first.Transitions ||
+							!slices.Equal(par.Counterexample, first.Counterexample) {
+							t.Fatalf("%s: workers=%d gives %s, workers=1 %s, or their counterexamples differ",
+								mode, w, par, first)
+						}
 					}
 				}
-				if par.Complete && !par.Recoverable {
-					replayRecovCounterexample(t, p, n, par.Violation, par.Fault, par.Counterexample)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -195,15 +215,12 @@ func TestParallelRecoverableDifferential(t *testing.T) {
 // violation, a fault schedule must fail on its final decision, and a stuck
 // witness must replay cleanly (the wedge is the absence of a completing
 // extension, not a step error).
-func replayRecovCounterexample(t *testing.T, p *vmprog.Program, n int, violation, fault bool, sched []tso.Decision) {
+func replayRecovCounterexample(t *testing.T, p *vmprog.Program, n int, ord tso.Ordering, violation, fault bool, sched []tso.Decision) {
 	t.Helper()
 	if len(sched) == 0 {
 		t.Fatal("decisive non-recoverable verdict carries no counterexample")
 	}
-	eng, err := vmprog.NewEngineOrdering(p, n, tso.TSO)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := plainEngine(t, p, n, ord)
 	st := eng.Initial()
 	for i, d := range sched {
 		if err := eng.Apply(st, d); err != nil {
@@ -298,11 +315,9 @@ func TestParallelScalingGuard(t *testing.T) {
 // verdict pinned in BENCH_analysis.json's parallel section: the 4-process
 // Peterson tournament, INCOMPLETE at every CI-sized budget, is RECOVERABLE
 // under the 2-crash adversary, decided by one full exploration of its
-// 31.7M-state crash space. The parallel checker drops states after
-// expansion, which is what makes the run fit in memory; its counts are
-// pinned equal to the sequential checker's (the run that first decided the
-// verdict was sequential). Minutes of wall-clock: runs only with
-// -tournament-verdict.
+// 31.7M-state crash space. The frontier engine drops states after
+// expansion, which is what makes the run fit in memory. Minutes of
+// wall-clock: runs only with -tournament-verdict.
 func TestTournamentVerdictDecided(t *testing.T) {
 	if !*tournamentFlag {
 		t.Skip("full tournament exploration; run with -tournament-verdict")

@@ -28,10 +28,9 @@ var rmeIncompleteNone = map[string]bool{"tournament": true, "synthetic": true}
 // doorway locks verify recoverable, the one-shot structures fault or wedge,
 // the TAS family wedges, the crash-broken variants are rejected with an
 // exclusion violation, and the two reduction modes agree on every verdict
-// they both complete. It runs the frontier engine at one worker, which
-// drops each state once expanded: the sequential checker keeps every state
-// of these million-state graphs. TestParallelRecoverableDifferential pins
-// the two engines to the same verdicts.
+// they both complete. It runs the frontier engine at one worker;
+// TestParallelRecoverableDifferential holds that engine to an unreduced
+// reference search's verdicts.
 func TestRMEVerdictSuitePinned(t *testing.T) {
 	ctx := context.Background()
 	opts := []Option{

@@ -435,7 +435,7 @@ func E9PSOSeparation(ctx context.Context, log2Ns []float64, n int) (*Report, err
 	if err != nil {
 		return nil, err
 	}
-	tsoRes, err := tsoEng.Check(ctx, 0)
+	tsoRes, err := tsoEng.Check(ctx, vmprog.ParallelOpts{})
 	if err != nil {
 		return nil, fmt.Errorf("core: E9 TSO check: %w", err)
 	}
@@ -443,7 +443,7 @@ func E9PSOSeparation(ctx context.Context, log2Ns []float64, n int) (*Report, err
 	if err != nil {
 		return nil, err
 	}
-	psoRes, err := psoEng.Check(ctx, 0)
+	psoRes, err := psoEng.Check(ctx, vmprog.ParallelOpts{})
 	if err != nil {
 		return nil, fmt.Errorf("core: E9 PSO check: %w", err)
 	}
@@ -572,14 +572,13 @@ var fastReduce = check.ReduceFull
 // experiment runs.
 func SetFastReduce(mode check.ReduceMode) { fastReduce = mode }
 
-// fastWorkers is the worker count E11's fast-engine runs use: 0 keeps the
-// sequential engine (and its pinned state counts); a positive count runs
-// the parallel sharded frontier checker, whose verdicts are identical.
-// cmd/priceadaptive's -workers flag overrides the default.
+// fastWorkers is the frontier engine's worker count in E11's runs (0: one
+// worker); results are identical for every count. cmd/priceadaptive's
+// -workers flag overrides the default.
 var fastWorkers = 0
 
 // SetFastWorkers selects the fast-engine worker count for subsequent
-// experiment runs (0 = sequential).
+// experiment runs.
 func SetFastWorkers(n int) { fastWorkers = n }
 
 // E11VerificationMatrix runs the fast VM engine's complete model checker

@@ -45,10 +45,9 @@ type CrashSearchParams struct {
 	Model string `json:"model,omitempty"`
 	// MaxStates bounds the recoverability exploration (0: engine default).
 	MaxStates int `json:"max_states,omitempty"`
-	// Workers, when positive, runs the recoverability verdict on the
-	// parallel sharded frontier checker, which drops states after expansion
-	// and so completes crash spaces the sequential checker cannot hold in
-	// memory. Verdicts and witnesses are identical across worker counts.
+	// Workers is the recoverability verdict's frontier worker count (0: one
+	// worker). Verdicts, witnesses and counts are identical across worker
+	// counts, so it is not part of the artifact's cache identity.
 	Workers int `json:"workers,omitempty"`
 	// RequireComplete fails the job with a budget_exhausted error when the
 	// recoverability exploration ends without a verdict.
@@ -207,12 +206,6 @@ func crashSearchSpec(cache *FactsCache, prog *vmprog.Program, p *CrashSearchPara
 		"hash": hash, "n": p.N, "seed": p.Seed, "budget": p.Budget,
 		"crashes": p.MaxCrashes, "per_proc": p.MaxPerProc, "model": p.Model,
 		"max_states": p.MaxStates, "facts_version": vmprog.FactsVersion,
-	}
-	// Workers changes which engine explores (and where an incomplete run
-	// stops), so it is part of the cache identity — but only when set, so
-	// pre-existing sequential artifacts keep their addresses.
-	if p.Workers > 0 {
-		m["workers"] = p.Workers
 	}
 	params, err := json.Marshal(m)
 	if err != nil {

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+
+	"priceadaptive/internal/vmprog"
 )
 
 // TestCrashSearchJob runs the crashsearch kind end-to-end through the
@@ -64,5 +66,73 @@ func TestCrashSearchJob(t *testing.T) {
 	}
 	if st = waitDone(t, q, st.ID); st.State != StateFailed {
 		t.Fatalf("bogus crashsearch job: %s", st.State)
+	}
+}
+
+// TestCrashSearchCacheIgnoresWorkers pins that the worker count is not part
+// of a crashsearch artifact's identity: every worker count yields the same
+// artifact, so two jobs that differ only in workers (1 and 2) are served
+// from one. The artifact the first job stores is marked before the second
+// job runs; the second job's result carries the mark only if it was served
+// from that artifact rather than computed again.
+func TestCrashSearchCacheIgnoresWorkers(t *testing.T) {
+	q, _ := newTestQueue(t, t.TempDir(), Options{Workers: 1})
+	RegisterBuiltins(q)
+	q.Start()
+	defer q.Close()
+
+	run := func(params string) *CrashSearchJobResult {
+		t.Helper()
+		st, _, err := q.Submit(Spec{Kind: KindCrashSearch, Params: json.RawMessage(params)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st = waitDone(t, q, st.ID); st.State != StateDone {
+			t.Fatalf("%s: %s (%s)", params, st.State, st.Error)
+		}
+		raw, err := q.Result(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res CrashSearchJobResult
+		if err := json.Unmarshal(raw, &res); err != nil {
+			t.Fatal(err)
+		}
+		return &res
+	}
+	first := run(`{"alg":"rtas","n":2,"budget":2000,"workers":1}`)
+
+	prog, err := vmprog.Lookup("rtas", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := CrashSearchParams{Alg: "rtas", N: 2, Budget: 2000, Workers: 2}
+	p.defaults()
+	cache := &FactsCache{Store: q.store, Clock: q.clock}
+	_, id := crashSearchSpec(cache, prog, &p)
+	raw, err := cache.Store.GetResult(id)
+	if err != nil {
+		t.Fatalf("no stored artifact under the workers=2 identity after the workers=1 job: %v", err)
+	}
+	var marked CrashSearchJobResult
+	if err := json.Unmarshal(raw, &marked); err != nil {
+		t.Fatal(err)
+	}
+	marked.Alg = "rtas (cached)"
+	data, err := json.Marshal(&marked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cache.Store.PutResult(id, data); err != nil {
+		t.Fatal(err)
+	}
+
+	second := run(`{"alg":"rtas","n":2,"budget":2000,"workers":2}`)
+	if second.Alg != marked.Alg {
+		t.Fatalf("the workers=2 job computed its artifact again instead of serving the workers=1 one")
+	}
+	second.Alg = first.Alg
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("artifacts differ:\n%+v\n%+v", first, second)
 	}
 }

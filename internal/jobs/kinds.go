@@ -196,15 +196,10 @@ type ModelCheckParams struct {
 	Reduce string `json:"reduce,omitempty"`
 	// Prune is the deprecated boolean predecessor of Reduce.
 	Prune bool `json:"prune,omitempty"`
-	// Workers, when positive, runs the fast engine's parallel sharded
-	// frontier checker with that many workers (0 keeps the sequential
-	// engine; ignored by the replay engine). Parallel verdicts and
-	// counterexamples are identical across worker counts.
+	// Workers is the fast engine's frontier worker count (0: one worker;
+	// ignored by the replay engine). Verdicts and counterexamples are
+	// identical across worker counts.
 	Workers int `json:"workers,omitempty"`
-	// Bitstate, when non-zero, switches the fast engine to probabilistic
-	// bitstate hashing with 1<<Bitstate bits; the artifact is marked
-	// Probabilistic and must never be read as an exact verdict.
-	Bitstate uint `json:"bitstate,omitempty"`
 	// RequireComplete fails the job with a budget_exhausted error when the
 	// exploration ends incomplete without a violation, instead of storing
 	// an inconclusive artifact.
@@ -236,9 +231,6 @@ type ModelCheckResult struct {
 	Violated      bool         `json:"violated"`
 	Schedule      []MCDecision `json:"schedule,omitempty"`
 	MinimizedFrom int          `json:"minimized_from,omitempty"`
-	// Probabilistic marks bitstate runs: Complete without Violated is
-	// evidence under a hash-collision assumption, not an exact verdict.
-	Probabilistic bool `json:"probabilistic,omitempty"`
 }
 
 func runModelCheck(ctx context.Context, params json.RawMessage) (any, error) {
@@ -287,7 +279,6 @@ func runModelCheckCached(ctx context.Context, params json.RawMessage, cache *Fac
 			check.WithMaxStates(p.MaxStates),
 			check.WithReduce(mode),
 			check.WithWorkers(p.Workers),
-			check.WithBitstate(p.Bitstate),
 		}
 		if mode != check.ReduceNone {
 			facts, err := cache.Facts(prog, p.N)
@@ -301,7 +292,6 @@ func runModelCheckCached(ctx context.Context, params json.RawMessage, cache *Fac
 			return nil, err
 		}
 		res.States, res.Decisions, res.Complete, res.Violated = rep.States, rep.Transitions, rep.Complete, rep.Violation
-		res.Probabilistic = rep.Probabilistic
 		if rep.Violation {
 			eng, err := vmprog.NewEngineOrdering(prog, p.N, ord)
 			if err != nil {

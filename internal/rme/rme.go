@@ -66,21 +66,10 @@ func (v *Verdict) String() string {
 // CheckRecoverability runs the crash-bounded recoverability check on the
 // engine (which carries the program, the process count and any installed
 // pruning facts - ample reduction is never applied by the underlying
-// exploration, only the state normalizations).
-func CheckRecoverability(ctx context.Context, eng *vmprog.Engine, maxStates int, o vmprog.CrashOpts) (*Verdict, error) {
-	res, err := eng.CheckRecoverable(ctx, maxStates, o)
-	if err != nil {
-		return nil, err
-	}
-	return verdictFrom(eng, res, o), nil
-}
-
-// CheckRecoverabilityParallel is CheckRecoverability on the parallel
-// frontier engine (vmprog.CheckRecoverableParallel): same verdict semantics,
-// state dropped after expansion so crash spaces beyond the sequential
-// checker's memory reach can complete.
-func CheckRecoverabilityParallel(ctx context.Context, eng *vmprog.Engine, po vmprog.ParallelOpts, o vmprog.CrashOpts) (*Verdict, error) {
-	res, err := eng.CheckRecoverableParallel(ctx, po, o)
+// exploration, only the state normalizations) with the frontier engine
+// configured by po.
+func CheckRecoverability(ctx context.Context, eng *vmprog.Engine, po vmprog.ParallelOpts, o vmprog.CrashOpts) (*Verdict, error) {
+	res, err := eng.CheckRecoverable(ctx, po, o)
 	if err != nil {
 		return nil, err
 	}

@@ -97,7 +97,7 @@ func TestCounterexampleReplays(t *testing.T) {
 	ctx := context.Background()
 	opts := vmprog.CrashOpts{MaxCrashes: 2, MaxPerProc: 1}
 
-	v, err := rme.CheckRecoverability(ctx, engine(t, "rtas-dirty", 2), 0, opts)
+	v, err := rme.CheckRecoverability(ctx, engine(t, "rtas-dirty", 2), vmprog.ParallelOpts{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestCounterexampleReplays(t *testing.T) {
 		t.Error("rtas-dirty counterexample does not end in an exclusion violation")
 	}
 
-	v, err = rme.CheckRecoverability(ctx, engine(t, "tas", 2), 0, opts)
+	v, err = rme.CheckRecoverability(ctx, engine(t, "tas", 2), vmprog.ParallelOpts{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func Example() {
 		fmt.Println(err)
 		return
 	}
-	res, err := eng.Check(context.Background(), 0)
+	res, err := eng.Check(context.Background(), vmprog.ParallelOpts{})
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -29,7 +29,7 @@ func Example() {
 		fmt.Println(err)
 		return
 	}
-	resNF, err := engNF.Check(context.Background(), 0)
+	resNF, err := engNF.Check(context.Background(), vmprog.ParallelOpts{})
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -43,5 +43,5 @@ func Example() {
 		resNF.Violation, len(min))
 	// Output:
 	// fenced Peterson: complete=true violation=false
-	// fence-free Peterson: violation=true, minimized to 13 decisions
+	// fence-free Peterson: violation=true, minimized to 8 decisions
 }

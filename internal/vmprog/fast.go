@@ -1,7 +1,6 @@
 package vmprog
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -172,8 +171,7 @@ type Engine struct {
 }
 
 // NewEngineOrdering builds an engine for n processes under the given memory
-// ordering (tso.TSO or tso.PSO; the zero Ordering defaults to TSO). This is
-// the canonical constructor; NewEngine is a deprecated shim over it.
+// ordering (tso.TSO or tso.PSO; the zero Ordering defaults to TSO).
 func NewEngineOrdering(p *Program, n int, ord tso.Ordering) (*Engine, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -189,19 +187,6 @@ func NewEngineOrdering(p *Program, n int, ord tso.Ordering) (*Engine, error) {
 		return nil, fmt.Errorf("vmprog: unknown memory ordering %d", int(ord))
 	}
 	return &Engine{prog: p, n: n, ord: ord}, nil
-}
-
-// NewEngine builds an engine for n processes. pso selects partial store
-// ordering (out-of-order commits allowed).
-//
-// Deprecated: use NewEngineOrdering with tso.TSO or tso.PSO; the naked bool
-// is unreadable at call sites and closed to further memory models.
-func NewEngine(p *Program, n int, pso bool) (*Engine, error) {
-	ord := tso.TSO
-	if pso {
-		ord = tso.PSO
-	}
-	return NewEngineOrdering(p, n, ord)
 }
 
 // Ordering returns the engine's memory-ordering model.
@@ -504,11 +489,11 @@ func (e *Engine) Apply(s *State, d tso.Decision) error {
 }
 
 // Hash fingerprints a state: the 64-bit hash of its flat encoding, the
-// same fingerprint the search engines compute for every successor. Equal
+// same fingerprint the search engine computes for every successor. Equal
 // states hash equal. Distinct states collide with probability about 2^-64
-// per pair, and the seen-sets of Check, CheckRecoverable and the frontier
-// engines key on this fingerprint alone (hash compaction): a collision
-// would merge two states and could hide the subtree behind one of them.
+// per pair, and the seen-sets of Check and CheckRecoverable key on this
+// fingerprint alone (hash compaction): a collision would merge two states
+// and could hide the subtree behind one of them.
 // Over a search of m states the chance that any collision occurs at all is
 // about m^2/2^65. It is safe for concurrent use.
 func (e *Engine) Hash(s *State) uint64 {
@@ -535,133 +520,10 @@ type CheckResult struct {
 	// AmpleSteps counts states where the reduction restricted expansion to
 	// a single process's transitions (0 without UsePruning).
 	AmpleSteps int
-	// Probabilistic reports that the exploration used bitstate hashing
-	// (ParallelOpts.BitstateBits): distinct states may have been merged by
-	// hash collision, so Complete && !Violation is strong evidence of
-	// correctness, not proof. A Violation and its Schedule remain exact.
-	// Callers must never report a probabilistic pass as an exact verdict.
+	// Probabilistic is always false: every exploration keeps a
+	// fingerprint per state. It remains for callers that still read it.
 	Probabilistic bool
 	shardStats
-}
-
-// Check explores the reachable state space exhaustively (bounded by
-// maxStates) and reports the first exclusion violation. Unlike the
-// replay-based checker in package check, states are true snapshots: spin
-// loops revisit identical states and the exploration terminates without any
-// spin-collapsing heuristic. Cancelling ctx aborts the exploration with the
-// context's error.
-//
-// With pruning facts installed (UsePruning) the exploration is reduced but
-// verdict-equivalent: at each state an ample process - one whose every
-// enabled transition is invisible and statically independent of every
-// other process's future - is expanded alone (conditions C0-C2), unless
-// one of its successors was already visited, in which case the state is
-// fully expanded (the visited-proviso discharging condition C3: every
-// cycle of the reduced graph contains a fully expanded state). When the
-// facts additionally carry liveness masks and symmetry forms, successor
-// states are canonicalized - dead registers zeroed, then the
-// lexicographically minimal representative under all process permutations
-// - and exploration continues from the canonical state; recorded schedule
-// decisions are translated back through the accumulated permutation so
-// Schedule always replays against an unreduced engine from the true
-// initial state.
-func (e *Engine) Check(ctx context.Context, maxStates int) (*CheckResult, error) {
-	if maxStates <= 0 {
-		maxStates = 1 << 20
-	}
-	res := &CheckResult{Complete: true}
-	r := e.red
-	seen := make(map[uint64]bool)
-	type node struct {
-		st   *State
-		path []tso.Decision // decisions in the real (initial) frame
-		cum  []int          // real slot -> current slot; nil = identity
-	}
-	// canon maps a freshly produced state to its canonical representative
-	// plus the permutation applied (nil perm = identity).
-	canon := func(s *State) (*State, []int) {
-		if r == nil {
-			return s, nil
-		}
-		return r.canonicalize(s)
-	}
-	root, rootPerm := canon(e.Initial())
-	seen[e.Hash(root)] = true
-	res.States = 1
-	stack := []node{{st: root, cum: rootPerm}}
-	// push applies d (in nd's frame) to nd.st, canonicalizes, and pushes
-	// the child if unseen. Every applied decision counts as a transition.
-	push := func(nd *node, d tso.Decision, child *State, perm []int) {
-		h := e.Hash(child)
-		if seen[h] {
-			return
-		}
-		seen[h] = true
-		res.States++
-		path := make([]tso.Decision, len(nd.path)+1)
-		copy(path, nd.path)
-		path[len(nd.path)] = realDecision(r, d, nd.cum)
-		stack = append(stack, node{st: child, path: path, cum: compose(perm, nd.cum, e.n)})
-	}
-	for len(stack) > 0 {
-		nd := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if res.States&0xfff == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if e.Violated(nd.st) {
-			res.Violation = true
-			res.Schedule = nd.path
-			res.Complete = false
-			return res, nil
-		}
-		if res.States > maxStates {
-			res.Complete = false
-			return res, nil
-		}
-		if r != nil {
-			if id, ok := e.ampleProcess(nd.st); ok {
-				amp := e.procDecisions(nd.st, id, nil)
-				kids := make([]*State, len(amp))
-				perms := make([][]int, len(amp))
-				proviso := false
-				for i, d := range amp {
-					child := nd.st.Clone()
-					if err := e.Apply(child, d); err != nil {
-						return nil, fmt.Errorf("vmprog: check: %w", err)
-					}
-					kids[i], perms[i] = canon(child)
-					if seen[e.Hash(kids[i])] {
-						// C3 visited-proviso: an ample successor was
-						// already visited, so this state could close a
-						// cycle along which other processes are ignored
-						// forever; expand it fully instead.
-						proviso = true
-					}
-				}
-				if !proviso {
-					res.AmpleSteps++
-					res.Transitions += len(amp)
-					for i, d := range amp {
-						push(&nd, d, kids[i], perms[i])
-					}
-					continue
-				}
-			}
-		}
-		for _, d := range e.decisions(nd.st, nil) {
-			child := nd.st.Clone()
-			if err := e.Apply(child, d); err != nil {
-				return nil, fmt.Errorf("vmprog: check: %w", err)
-			}
-			res.Transitions++
-			cc, perm := canon(child)
-			push(&nd, d, cc, perm)
-		}
-	}
-	return res, nil
 }
 
 // decisions appends the enabled scheduling decisions in a state to out.

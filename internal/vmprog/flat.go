@@ -172,6 +172,15 @@ func hashWords(ws []uint64) uint64 {
 	return mix64(h)
 }
 
+// mix64 is the splitmix64 finalizer: every input bit reaches every output
+// bit.
+func mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
 // arenaBlock is the word count of one arena block. Arenas grow a fixed-size
 // block at a time and recycle the blocks of expanded layers: a doubling
 // slice would copy the live layer on every growth and allocate about twice
@@ -211,17 +220,17 @@ func (a *arena) get(r aref) []uint64 { return a.blocks[r.blk][r.off : r.off+r.n]
 
 // frontier is one shard's share of a search layer: items in discovery
 // order, with their encodings in the arena.
-type frontier[T any] struct {
-	items []T
+type frontier struct {
+	items []pitem
 	enc   arena
 }
 
 // rotate detaches the frontier filled during the layer just expanded, which
 // becomes the next layer's front, and refills it with the storage of done,
 // the front that layer expanded: no worker reads done any more.
-func (f *frontier[T]) rotate(done frontier[T]) frontier[T] {
+func (f *frontier) rotate(done frontier) frontier {
 	next := *f
-	*f = frontier[T]{
+	*f = frontier{
 		items: done.items[:0],
 		enc:   arena{spare: append(next.enc.spare, done.enc.blocks...)},
 	}

@@ -52,7 +52,7 @@ func TestRegistryExclusion(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := eng.Check(context.Background(), budget)
+			res, err := eng.Check(context.Background(), ParallelOpts{MaxStates: budget})
 			if err != nil {
 				t.Fatal(err)
 			}

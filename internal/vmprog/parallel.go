@@ -4,35 +4,24 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"priceadaptive/internal/tso"
 )
 
-// ParallelOpts configures the parallel frontier engine (CheckParallel and
-// CheckRecoverableParallel).
+// ParallelOpts configures the frontier engine (Check and CheckRecoverable).
 type ParallelOpts struct {
-	// Workers is the worker (and seen-set shard) count; <= 0 means
-	// runtime.GOMAXPROCS(0). Results are identical for every worker count:
-	// the layered search with the frozen-layer proviso makes the explored
-	// graph, the counts and the reconstructed witnesses a function of the
-	// program alone, not of scheduling.
+	// Workers is the worker (and seen-set shard) count; 0 means one worker,
+	// and a negative count is an error. Results are identical for every
+	// worker count: the layered search with the frozen-layer proviso makes
+	// the explored graph, the counts and the reconstructed witnesses a
+	// function of the program alone, not of scheduling.
 	Workers int
-	// MaxStates bounds the exploration; <= 0 means 1<<20, matching the
-	// sequential engines. The budget is checked at layer barriers, so an
-	// incomplete run may overshoot by up to one layer (deterministically).
+	// MaxStates bounds the exploration; <= 0 means 1<<20. The budget is
+	// checked at layer barriers, so an incomplete run may overshoot by up
+	// to one layer (deterministically).
 	MaxStates int
-	// BitstateBits, when non-zero, switches CheckParallel to bitstate
-	// hashing with 1<<BitstateBits bits (two hash functions per state)
-	// instead of sharded seen-sets of 64-bit state fingerprints. The result
-	// is marked Probabilistic: bit collisions silently merge distinct
-	// states at rates that grow with the fill of the array, so a clean pass
-	// is evidence, not proof. Violations found remain real (every schedule
-	// is replayable). Not applicable to recoverability, whose
-	// co-reachability pass needs a graph node per state.
-	BitstateBits uint
 }
 
 // encDec packs a real-frame decision into a breadcrumb word: process id in
@@ -122,10 +111,10 @@ func (c *column[T]) push(v T) {
 // chunks when theirs run dry.
 type pshard struct {
 	mu     sync.Mutex
-	index  fpindex         // guarded by mu
-	parent column[uint64]  // guarded by mu; local id -> parent fingerprint
-	dec    column[uint32]  // guarded by mu; local id -> inbound real-frame decision
-	next   frontier[pitem] // guarded by mu
+	index  fpindex        // guarded by mu
+	parent column[uint64] // guarded by mu; local id -> parent fingerprint
+	dec    column[uint32] // guarded by mu; local id -> inbound real-frame decision
+	next   frontier       // guarded by mu
 	// base is the shard's state count when the current layer began: a
 	// state discovered in this layer sits at next.items[id-base].
 	base int // guarded by mu
@@ -375,13 +364,13 @@ func (g *pgraph) crumb(h uint64) (parent uint64, dec uint32, ok bool) {
 // it detaches every shard's next-queue as the next layer's fronts, handing
 // each shard the storage of done, the fronts just expanded (nil before the
 // first layer). It returns the fronts and the number of states recorded.
-func (g *pgraph) barrier(done []frontier[pitem]) ([]frontier[pitem], int) {
-	fronts := make([]frontier[pitem], len(g.shards))
+func (g *pgraph) barrier(done []frontier) ([]frontier, int) {
+	fronts := make([]frontier, len(g.shards))
 	states := 0
 	for i := range g.shards {
 		sh := &g.shards[i]
 		sh.mu.Lock()
-		var d frontier[pitem]
+		var d frontier
 		if done != nil {
 			d = done[i]
 		}
@@ -438,7 +427,7 @@ func (g *pgraph) insertRoot(x *expander) {
 }
 
 // emptyFronts reports whether a layer has nothing to expand.
-func emptyFronts[T any](fronts []frontier[T]) bool {
+func emptyFronts(fronts []frontier) bool {
 	for _, f := range fronts {
 		if len(f.items) > 0 {
 			return false
@@ -478,8 +467,8 @@ func (e *Engine) workerClone() *Engine {
 }
 
 // shardStats counts how a frontier run's successors reached their seen-set
-// shards (all zero for the sequential engines). The white-box shard tests
-// read them to see cross-shard routing and batching actually happen.
+// shards. The white-box shard tests read them to see cross-shard routing
+// and batching actually happen.
 type shardStats struct {
 	crossShard int // successors routed to a shard other than their parent's
 	flushes    int // batches a worker inserted mid-layer
@@ -607,11 +596,10 @@ func (w *pworker) drain(first int) {
 // encoding read from a, applying ample-set reduction with the frozen-layer
 // proviso: the ample choice is discarded iff some ample successor was first
 // discovered in a layer <= the current one. Entries inserted during the
-// current layer carry layer+1 and never trigger it, so the proviso — unlike
-// the sequential DFS's visited-at-expansion test — is independent of
-// scheduling and worker count. Soundness (C3): on any cycle of
-// ample-expanded states, the state with the maximum discovery layer L has
-// its cycle successor discovered at a layer <= L, which forces full
+// current layer carry layer+1 and never trigger it, so the proviso is
+// independent of scheduling and worker count. Soundness (C3): on any cycle
+// of ample-expanded states, the state with the maximum discovery layer L
+// has its cycle successor discovered at a layer <= L, which forces full
 // expansion of that state, a contradiction.
 func (w *pworker) expand(it pitem, a *arena) {
 	if !w.tick() {
@@ -702,7 +690,7 @@ func (w *pworker) expandRecov(it pitem, a *arena) {
 // other fronts via the per-front atomic cursors. A worker that finds no item
 // left calls dry, if it is not nil, before it returns; one stopped by stop
 // does not.
-func runLayer[T any](workers int, fronts []frontier[T], stop *atomic.Bool, expand func(w int, it T, a *arena), dry func(w int)) {
+func runLayer(workers int, fronts []frontier, stop *atomic.Bool, expand func(w int, it pitem, a *arena), dry func(w int)) {
 	cursors := make([]atomic.Int64, len(fronts))
 	const chunk = 16
 	var wg sync.WaitGroup
@@ -738,36 +726,48 @@ func runLayer[T any](workers int, fronts []frontier[T], stop *atomic.Bool, expan
 	wg.Wait()
 }
 
-func parallelWorkers(o ParallelOpts) (workers, maxStates int) {
-	workers = o.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// parallelWorkers resolves o's worker count and state budget.
+func parallelWorkers(o ParallelOpts) (workers, maxStates int, err error) {
+	if o.Workers < 0 {
+		return 0, 0, fmt.Errorf("vmprog: worker count must not be negative, got %d", o.Workers)
 	}
 	maxStates = o.MaxStates
 	if maxStates <= 0 {
 		maxStates = 1 << 20
 	}
-	return workers, maxStates
+	return max(o.Workers, 1), maxStates, nil
 }
 
-// CheckParallel explores the reachable state space with the parallel
-// frontier engine: a layered (breadth-style) search over hash-partitioned
-// seen-set shards, one worker per shard, with chunked work stealing inside
-// each layer. It decides exactly what the sequential Check decides, composes
-// with the same reduction facts (ample sets via the order-independent
-// frozen-layer proviso, liveness and symmetry normalization), and
-// reconstructs exact real-frame schedules from per-shard breadcrumbs. For a
-// fixed program and options the verdict, the state and transition counts and
-// the reported schedule are identical for every worker count.
+// Check explores the reachable state space exhaustively (bounded by
+// o.MaxStates) and reports the first exclusion violation. States are true
+// snapshots: spin loops revisit identical states, and the exploration
+// terminates without any spin-collapsing heuristic. Cancelling ctx aborts
+// it with the context's error.
 //
-// With BitstateBits set the fingerprint seen-sets are replaced by a
-// double-hashed bit array and the result is marked Probabilistic (see
-// ParallelOpts).
-func (e *Engine) CheckParallel(ctx context.Context, o ParallelOpts) (*CheckResult, error) {
-	if o.BitstateBits > 0 {
-		return e.checkBitstate(ctx, o)
+// The search is a layered breadth-first exploration over hash-partitioned
+// seen-set shards, one worker per shard, with chunked work stealing inside
+// each layer. It reconstructs exact real-frame schedules from per-shard
+// breadcrumbs; a violation's schedule is a shortest one in the graph the
+// search explores. For a fixed
+// program and options the verdict, the state and transition counts and the
+// reported schedule are identical for every worker count.
+//
+// With pruning facts installed (UsePruning) the exploration is reduced but
+// verdict-equivalent: at each state an ample process - one whose every
+// enabled transition is invisible and statically independent of every
+// other process's future - is expanded alone (conditions C0-C2), unless the
+// frozen-layer proviso rejects it (C3, see pworker.expand). When the facts
+// also carry liveness masks and symmetry forms, successors are
+// canonicalized - dead registers zeroed, then the lexicographically minimal
+// representative under all process permutations - and every recorded
+// decision is translated back through the accumulated permutation, so
+// Schedule always replays against an unreduced engine from the true
+// initial state.
+func (e *Engine) Check(ctx context.Context, o ParallelOpts) (*CheckResult, error) {
+	workers, maxStates, err := parallelWorkers(o)
+	if err != nil {
+		return nil, err
 	}
-	workers, maxStates := parallelWorkers(o)
 	g := newPGraph(workers, false)
 	ws := make([]*pworker, workers)
 	for i := range ws {
@@ -812,21 +812,30 @@ func (e *Engine) CheckParallel(ctx context.Context, o ParallelOpts) (*CheckResul
 	}
 }
 
-// CheckRecoverableParallel decides crash-bounded recoverability with the
-// parallel frontier engine. Semantics match CheckRecoverable: exclusion in
-// every reachable state plus co-reachability of completion, normalizations
-// applied, ample reduction never. Unlike the sequential checker it drops
-// states once expanded — only breadcrumbs, dense successor edges and AllDone
-// flags persist — cutting the per-state memory by roughly an order of
-// magnitude, which is what lets crash spaces beyond the sequential checker's
-// reach (the tournament lock at n=4) run to completion. Verdicts, counts and
-// witnesses are identical for every worker count; the stuck witness is the
+// CheckRecoverable explores the crash-bounded state space exhaustively and
+// decides recoverability: mutual exclusion must hold in every reachable
+// state and every reachable state must be able to reach completion
+// (AllDone). The second condition is the co-reachability check that
+// separates recoverable locks from locks that merely never violate
+// exclusion after a crash but wedge forever (a crashed TAS owner leaves the
+// lock word set; every process spins).
+//
+// It runs the layered search of Check, but drops each state once expanded:
+// only breadcrumbs, edge records and AllDone flags persist, so crash spaces
+// of tens of millions of states (the tournament lock at n=4) fit in memory.
+// With pruning facts installed only the state normalizations are used
+// (dead-register zeroing and symmetry canonicalization, both bisimulations
+// that preserve co-reachability); ample-set reduction is never applied,
+// because a process that can still crash re-enters through the recover
+// section and invalidates the static future footprints - crash transitions
+// are never independent of anything. Verdicts, counts and witnesses are
+// identical for every worker count; the stuck witness is the
 // (layer, hash)-minimal non-co-reachable state.
-func (e *Engine) CheckRecoverableParallel(ctx context.Context, o ParallelOpts, crash CrashOpts) (*RecovResult, error) {
-	if o.BitstateBits > 0 {
-		return nil, errors.New("vmprog: bitstate hashing cannot decide recoverability: co-reachability needs a graph node per state")
+func (e *Engine) CheckRecoverable(ctx context.Context, o ParallelOpts, crash CrashOpts) (*RecovResult, error) {
+	workers, maxStates, err := parallelWorkers(o)
+	if err != nil {
+		return nil, err
 	}
-	workers, maxStates := parallelWorkers(o)
 	g := newPGraph(workers, true)
 	ws := make([]*pworker, workers)
 	for i := range ws {

@@ -11,8 +11,8 @@ import (
 	"priceadaptive/internal/tso"
 )
 
-// checkProgs are small unreduced workloads the white-box parallel tests run;
-// the registry-wide differential with reduction facts lives in
+// checkProgs are small unreduced workloads the white-box frontier tests run;
+// the registry-wide differentials with reduction facts live in
 // internal/check (TestParallelDifferential), which can import the analyzer.
 var checkProgs = []struct {
 	name string
@@ -57,35 +57,35 @@ func replayViolation(t *testing.T, name string, n int, pso bool, sched []tso.Dec
 	}
 }
 
-// TestParallelMatchesSequential runs the parallel frontier engine at several
-// worker counts against the sequential DFS on unreduced engines: verdicts
-// must agree everywhere, counts must agree across worker counts always and
-// with the sequential engine on complete non-violating runs (where the
-// explored set is the full reachable space and thus order-independent), and
-// every parallel counterexample must replay on a fresh sequential engine.
-func TestParallelMatchesSequential(t *testing.T) {
+// TestCheckMatchesOracle runs the frontier engine at several worker counts
+// against the reference search on unreduced engines: verdicts must agree
+// everywhere, counts must agree across worker counts always and with the
+// oracle on complete non-violating runs (where the explored set is the full
+// reachable space), and every counterexample must replay on a fresh
+// engine.
+func TestCheckMatchesOracle(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range checkProgs {
-		seq, err := buildEngine(t, tc.name, tc.n, tc.pso).Check(ctx, 1<<21)
+		ref, err := oracleCheck(buildEngine(t, tc.name, tc.n, tc.pso), 1<<21)
 		if err != nil {
-			t.Fatalf("%s: sequential: %v", tc.name, err)
+			t.Fatalf("%s: oracle: %v", tc.name, err)
 		}
 		var first *CheckResult
 		for _, workers := range []int{1, 2, 3} {
-			par, err := buildEngine(t, tc.name, tc.n, tc.pso).CheckParallel(ctx, ParallelOpts{Workers: workers, MaxStates: 1 << 21})
+			par, err := buildEngine(t, tc.name, tc.n, tc.pso).Check(ctx, ParallelOpts{Workers: workers, MaxStates: 1 << 21})
 			if err != nil {
-				t.Fatalf("%s w=%d: parallel: %v", tc.name, workers, err)
+				t.Fatalf("%s w=%d: %v", tc.name, workers, err)
 			}
-			if par.Violation != seq.Violation || par.Complete != seq.Complete {
-				t.Fatalf("%s w=%d: verdict mismatch: parallel violation=%v complete=%v, sequential %v/%v",
-					tc.name, workers, par.Violation, par.Complete, seq.Violation, seq.Complete)
+			if par.Violation != ref.Violation || par.Complete != ref.Complete {
+				t.Fatalf("%s w=%d: verdict mismatch: violation=%v complete=%v, oracle %v/%v",
+					tc.name, workers, par.Violation, par.Complete, ref.Violation, ref.Complete)
 			}
 			if par.Violation {
 				replayViolation(t, tc.name, tc.n, tc.pso, par.Schedule)
 			} else if par.Complete {
-				if par.States != seq.States || par.Transitions != seq.Transitions {
-					t.Fatalf("%s w=%d: counts diverge: parallel %d/%d, sequential %d/%d",
-						tc.name, workers, par.States, par.Transitions, seq.States, seq.Transitions)
+				if par.States != ref.States || par.Transitions != ref.Transitions {
+					t.Fatalf("%s w=%d: counts diverge: %d/%d, oracle %d/%d",
+						tc.name, workers, par.States, par.Transitions, ref.States, ref.Transitions)
 				}
 			}
 			if first == nil {
@@ -93,14 +93,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 				continue
 			}
 			if par.States != first.States || par.Transitions != first.Transitions ||
-				par.Violation != first.Violation || len(par.Schedule) != len(first.Schedule) {
-				t.Fatalf("%s: results differ across worker counts: w=%d got %d/%d, w=1 got %d/%d",
+				par.Violation != first.Violation || !schedEqual(par.Schedule, first.Schedule) {
+				t.Fatalf("%s: results differ across worker counts: w=%d got %d/%d, w=1 got %d/%d, or their schedules differ",
 					tc.name, workers, par.States, par.Transitions, first.States, first.Transitions)
-			}
-			for i := range par.Schedule {
-				if par.Schedule[i] != first.Schedule[i] {
-					t.Fatalf("%s: schedules differ across worker counts at step %d", tc.name, i)
-				}
 			}
 		}
 	}
@@ -114,7 +109,7 @@ func TestParallelCrossShardRouting(t *testing.T) {
 	ctx := context.Background()
 	for _, workers := range []int{2, 3, 4} {
 		e := buildEngine(t, "peterson", 2, false)
-		res, err := e.CheckParallel(ctx, ParallelOpts{Workers: workers})
+		res, err := e.Check(ctx, ParallelOpts{Workers: workers})
 		if err != nil {
 			t.Fatalf("w=%d: %v", workers, err)
 		}
@@ -125,7 +120,7 @@ func TestParallelCrossShardRouting(t *testing.T) {
 	}
 	// One shard cannot hand off.
 	e := buildEngine(t, "peterson", 2, false)
-	res, err := e.CheckParallel(ctx, ParallelOpts{Workers: 1})
+	res, err := e.Check(ctx, ParallelOpts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,44 +129,36 @@ func TestParallelCrossShardRouting(t *testing.T) {
 	}
 }
 
-// TestParallelRecoverableMatchesSequential compares CheckRecoverableParallel
-// against the sequential CheckRecoverable on crash-enabled workloads:
-// verdicts agree, counts agree on complete runs (the crash exploration has
-// no ample reduction, so the explored graph is the full crash-bounded
-// space either way), and counterexample schedules replay.
-func TestParallelRecoverableMatchesSequential(t *testing.T) {
+// TestCheckRecoverableMatchesOracle compares CheckRecoverable at several
+// worker counts against the reference search on crash-enabled workloads:
+// verdicts agree, counts agree on complete runs without a violation or a
+// fault (the crash exploration has no ample reduction, so the explored
+// graph is the full crash-bounded space either way), results agree across
+// worker counts, and counterexample schedules replay.
+func TestCheckRecoverableMatchesOracle(t *testing.T) {
 	ctx := context.Background()
 	crash := CrashOpts{MaxCrashes: 2, MaxPerProc: 1}
 	for _, name := range []string{"rtas", "tas", "peterson", "anderson", "mcs"} {
-		p, err := Lookup(name, 2)
+		ref, err := oracleRecoverable(buildEngine(t, name, 2, false), 1<<21, crash)
 		if err != nil {
-			t.Fatalf("Lookup(%s): %v", name, err)
-		}
-		mk := func() *Engine {
-			e, err := NewEngineOrdering(p, 2, tso.TSO)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return e
-		}
-		seq, err := mk().CheckRecoverable(ctx, 1<<21, crash)
-		if err != nil {
-			t.Fatalf("%s: sequential: %v", name, err)
+			t.Fatalf("%s: oracle: %v", name, err)
 		}
 		var first *RecovResult
 		for _, workers := range []int{1, 2, 3} {
-			par, err := mk().CheckRecoverableParallel(ctx, ParallelOpts{Workers: workers, MaxStates: 1 << 21}, crash)
+			par, err := buildEngine(t, name, 2, false).CheckRecoverable(ctx, ParallelOpts{Workers: workers, MaxStates: 1 << 21}, crash)
 			if err != nil {
-				t.Fatalf("%s w=%d: parallel: %v", name, workers, err)
+				t.Fatalf("%s w=%d: %v", name, workers, err)
 			}
-			if par.Recoverable != seq.Recoverable || par.Complete != seq.Complete {
-				t.Fatalf("%s w=%d: verdict mismatch: parallel recoverable=%v complete=%v, sequential %v/%v",
-					name, workers, par.Recoverable, par.Complete, seq.Recoverable, seq.Complete)
+			if par.Recoverable != ref.Recoverable || par.Complete != ref.Complete || par.Violation != ref.Violation ||
+				par.Stuck != ref.Stuck || par.Fault != ref.Fault {
+				t.Fatalf("%s w=%d: verdict mismatch: recoverable=%v complete=%v violation=%v stuck=%v fault=%v, oracle %v/%v/%v/%v/%v",
+					name, workers, par.Recoverable, par.Complete, par.Violation, par.Stuck, par.Fault,
+					ref.Recoverable, ref.Complete, ref.Violation, ref.Stuck, ref.Fault)
 			}
-			if par.Complete && !par.Violation && !par.Fault && !seq.Violation && !seq.Fault {
-				if par.States != seq.States || par.Transitions != seq.Transitions {
-					t.Fatalf("%s w=%d: counts diverge: parallel %d/%d, sequential %d/%d",
-						name, workers, par.States, par.Transitions, seq.States, seq.Transitions)
+			if par.Complete && !par.Violation && !par.Fault {
+				if par.States != ref.States || par.Transitions != ref.Transitions {
+					t.Fatalf("%s w=%d: counts diverge: %d/%d, oracle %d/%d",
+						name, workers, par.States, par.Transitions, ref.States, ref.Transitions)
 				}
 			}
 			replayRecovWitness(t, name, par)
@@ -251,52 +238,14 @@ func replayRecovWitness(t *testing.T, name string, res *RecovResult) {
 	}
 }
 
-// TestBitstateProbabilistic pins the bitstate mode's contract: the result is
-// always flagged Probabilistic, a collision-free run (bit array far larger
-// than the state space) matches the exact engine's counts, and violations it
-// finds replay exactly.
-func TestBitstateProbabilistic(t *testing.T) {
-	ctx := context.Background()
-	exact, err := buildEngine(t, "peterson", 2, false).Check(ctx, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := buildEngine(t, "peterson", 2, false).CheckParallel(ctx, ParallelOpts{Workers: 1, BitstateBits: 22})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Probabilistic {
-		t.Fatal("bitstate result not flagged Probabilistic")
-	}
-	if res.Violation {
-		t.Fatal("bitstate found a violation in peterson")
-	}
-	if res.States != exact.States || res.Transitions != exact.Transitions {
-		t.Fatalf("collision-free bitstate counts %d/%d differ from exact %d/%d",
-			res.States, res.Transitions, exact.States, exact.Transitions)
-	}
-	viol, err := buildEngine(t, "peterson-nofence", 2, false).CheckParallel(ctx, ParallelOpts{Workers: 2, BitstateBits: 22})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !viol.Violation {
-		t.Fatal("bitstate missed the peterson-nofence violation")
-	}
-	replayViolation(t, "peterson-nofence", 2, false, viol.Schedule)
-	if _, err := buildEngine(t, "rtas", 2, false).CheckRecoverableParallel(ctx,
-		ParallelOpts{Workers: 1, BitstateBits: 22}, CrashOpts{MaxCrashes: 1}); err == nil {
-		t.Fatal("bitstate recoverability was not rejected")
-	}
-}
-
 // TestParallelBatchedInserts runs both frontier engines at 1-4 workers on
 // programs whose layers overflow a shard's batch many times: filter at n=3
 // (capped, so many layers of thousands of successors), and bakery at n=2,
 // crash-free and under two crashes: under TSO, where both engines run to
 // completion without a counterexample, and under PSO, where both find a
 // violation. Counts and schedules must not depend on the worker count;
-// complete runs without a counterexample must match the sequential
-// engines' counts, and every violation schedule must replay. The one-worker
+// complete runs without a counterexample must match the reference search's
+// counts, and every violation schedule must replay. The one-worker
 // runs and the multi-worker runs must have inserted batches mid-layer, and
 // the multi-worker runs must have found a shard busy at least once, so a
 // fall back to inserting only when a worker runs dry, or to waiting on
@@ -304,12 +253,12 @@ func TestBitstateProbabilistic(t *testing.T) {
 func TestParallelBatchedInserts(t *testing.T) {
 	ctx := context.Background()
 	var stats shardStats
-	compared := 0 // runs whose counts were compared with the sequential engine
+	compared := 0 // runs whose counts were compared with the oracle
 	for _, tc := range []struct {
 		name      string
 		n         int
 		pso       bool
-		maxStates int // 0: run to completion and compare with the sequential engine
+		maxStates int // 0: run to completion and compare with the oracle
 		crash     CrashOpts
 	}{
 		{"filter", 3, false, 20000, CrashOpts{}},
@@ -320,14 +269,14 @@ func TestParallelBatchedInserts(t *testing.T) {
 		if max == 0 {
 			max = 1 << 20
 		}
-		var seq *CheckResult
-		var seqR *RecovResult
+		var ref *CheckResult
+		var refR *RecovResult
 		if tc.maxStates == 0 {
 			var err error
-			if seq, err = buildEngine(t, tc.name, tc.n, tc.pso).Check(ctx, max); err != nil {
+			if ref, err = oracleCheck(buildEngine(t, tc.name, tc.n, tc.pso), max); err != nil {
 				t.Fatal(err)
 			}
-			if seqR, err = buildEngine(t, tc.name, tc.n, tc.pso).CheckRecoverable(ctx, max, tc.crash); err != nil {
+			if refR, err = oracleRecoverable(buildEngine(t, tc.name, tc.n, tc.pso), max, tc.crash); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -335,11 +284,11 @@ func TestParallelBatchedInserts(t *testing.T) {
 		var firstR *RecovResult
 		for workers := 1; workers <= 4; workers++ {
 			po := ParallelOpts{Workers: workers, MaxStates: max}
-			par, err := buildEngine(t, tc.name, tc.n, tc.pso).CheckParallel(ctx, po)
+			par, err := buildEngine(t, tc.name, tc.n, tc.pso).Check(ctx, po)
 			if err != nil {
 				t.Fatal(err)
 			}
-			parR, err := buildEngine(t, tc.name, tc.n, tc.pso).CheckRecoverableParallel(ctx, po, tc.crash)
+			parR, err := buildEngine(t, tc.name, tc.n, tc.pso).CheckRecoverable(ctx, po, tc.crash)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -350,26 +299,26 @@ func TestParallelBatchedInserts(t *testing.T) {
 				stats.take(&par.shardStats)
 				stats.take(&parR.shardStats)
 			}
-			if seq != nil {
-				if par.Violation != seq.Violation || par.Complete != seq.Complete {
-					t.Fatalf("%s w=%d: verdict violation=%v complete=%v, sequential %v/%v",
-						tc.name, workers, par.Violation, par.Complete, seq.Violation, seq.Complete)
+			if ref != nil {
+				if par.Violation != ref.Violation || par.Complete != ref.Complete {
+					t.Fatalf("%s w=%d: verdict violation=%v complete=%v, oracle %v/%v",
+						tc.name, workers, par.Violation, par.Complete, ref.Violation, ref.Complete)
 				}
 				if par.Complete && !par.Violation {
-					if par.States != seq.States || par.Transitions != seq.Transitions {
-						t.Fatalf("%s w=%d: counts %d/%d, sequential %d/%d",
-							tc.name, workers, par.States, par.Transitions, seq.States, seq.Transitions)
+					if par.States != ref.States || par.Transitions != ref.Transitions {
+						t.Fatalf("%s w=%d: counts %d/%d, oracle %d/%d",
+							tc.name, workers, par.States, par.Transitions, ref.States, ref.Transitions)
 					}
 					compared++
 				}
-				if parR.Recoverable != seqR.Recoverable || parR.Complete != seqR.Complete {
-					t.Fatalf("%s w=%d: recoverable=%v complete=%v, sequential %v/%v",
-						tc.name, workers, parR.Recoverable, parR.Complete, seqR.Recoverable, seqR.Complete)
+				if parR.Recoverable != refR.Recoverable || parR.Complete != refR.Complete {
+					t.Fatalf("%s w=%d: recoverable=%v complete=%v, oracle %v/%v",
+						tc.name, workers, parR.Recoverable, parR.Complete, refR.Recoverable, refR.Complete)
 				}
-				if parR.Complete && !parR.Violation && !parR.Fault && !seqR.Violation && !seqR.Fault {
-					if parR.States != seqR.States || parR.Transitions != seqR.Transitions {
-						t.Fatalf("%s w=%d: recoverable counts %d/%d, sequential %d/%d",
-							tc.name, workers, parR.States, parR.Transitions, seqR.States, seqR.Transitions)
+				if parR.Complete && !parR.Violation && !parR.Fault && !refR.Violation && !refR.Fault {
+					if parR.States != refR.States || parR.Transitions != refR.Transitions {
+						t.Fatalf("%s w=%d: recoverable counts %d/%d, oracle %d/%d",
+							tc.name, workers, parR.States, parR.Transitions, refR.States, refR.Transitions)
 					}
 					compared++
 				}
@@ -400,7 +349,7 @@ func TestParallelBatchedInserts(t *testing.T) {
 		}
 	}
 	if compared != 8 {
-		t.Fatalf("%d runs compared counts with the sequential engine, want 8 (bakery under TSO, both engines, 1-4 workers)", compared)
+		t.Fatalf("%d runs compared counts with the oracle, want 8 (bakery under TSO, both engines, 1-4 workers)", compared)
 	}
 	t.Logf("2-4 workers: %d batches inserted mid-layer, %d found their shard busy", stats.flushes, stats.deferrals)
 	if stats.flushes == 0 {

@@ -11,8 +11,9 @@ const maxSymmetryN = 7
 // reducer holds the per-engine derived tables the reduced exploration
 // consults on every state: instantiated future-footprint bitsets, the
 // permutation group (when symmetry facts are present), and reusable scratch
-// buffers. It is built once by UsePruning and is not safe for concurrent
-// Check calls, matching the engine's existing contract.
+// buffers. It is built by UsePruning and, because of the scratch buffers,
+// serves one goroutine at a time: the frontier engine gives each worker a
+// reducer of its own (workerClone).
 type reducer struct {
 	e   *Engine
 	f   *PruneFacts
@@ -111,7 +112,7 @@ func wordsIntersect(a, b []uint64) bool {
 // footprint and pending buffered writes, so all its transitions commute
 // with and stay enabled under theirs). C0 holds because only processes with
 // at least one enabled transition are considered; C3 (the cycle proviso) is
-// discharged dynamically by Check's visited-proviso.
+// discharged dynamically by Check's frozen-layer proviso.
 func (e *Engine) ampleProcess(s *State) (int, bool) {
 	r := e.red
 	f := r.f
@@ -278,47 +279,12 @@ func (r *reducer) applyPerm(s *State, perm []int) *State {
 	return ns
 }
 
-func lexLess(a, b []uint64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
-}
-
-// canonicalize maps s to its canonical representative: dead registers
-// zeroed, then - when symmetry facts are installed - the minimum of the
-// orbit of s under S_n in the lexicographic order of the flat encoding. It
-// returns the representative and the permutation that produced it (nil for
-// the identity). s is consumed and may be mutated or returned. It is the
-// State-level reference the sequential engines use; the frontier engines
-// and CanonicalState reach the same representative through canonEncode.
-func (r *reducer) canonicalize(s *State) (*State, []int) {
-	r.zeroDead(s)
-	if r.sym == nil {
-		return s, nil
-	}
-	best, bestPerm := s, []int(nil)
-	r.encA = encode(r.encA[:0], s)
-	for _, perm := range r.perms[1:] {
-		cand := r.applyPerm(s, perm)
-		r.encB = encode(r.encB[:0], cand)
-		if lexLess(r.encB, r.encA) {
-			best, bestPerm = cand, perm
-			r.encA, r.encB = r.encB, r.encA
-		}
-	}
-	return best, bestPerm
-}
-
 // canonEncode appends the canonical encoding of s to dst: the flat encoding
 // with dead registers read as zero and, when symmetry facts are installed,
 // the lexicographic minimum over the orbit of s under S_n. It returns the
 // extended slice and the index in r.perms of the permutation that produced
-// the minimum (0, the identity, when none is smaller). It computes what
-// encode(canonicalize(s)) computes, without building a State per
-// permutation, and leaves s unmodified.
+// the minimum (0, the identity, when none is smaller). It builds no State
+// per permutation and leaves s unmodified.
 func (r *reducer) canonEncode(dst []uint64, s *State) ([]uint64, uint16) {
 	if r.sym == nil {
 		return encodeLive(dst, s, r.f.LiveRegs), 0
@@ -390,23 +356,9 @@ func cmpFrom(a, b []uint64, k int) (int, int) {
 	return k, 0
 }
 
-// compose chains two slot maps: first cum, then perm (nil is the identity).
-// The result maps a real slot to its slot after both.
-func compose(perm, cum []int, n int) []int {
-	if perm == nil {
-		return cum
-	}
-	if cum == nil {
-		return perm
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = perm[cum[i]]
-	}
-	return out
-}
-
-// compose is compose on indices into r.perms (0 is the identity).
+// compose chains two cumulative permutations, given as indices into r.perms
+// (0 is the identity): first cum, then perm. The result maps a real slot to
+// its slot after both.
 func (r *reducer) compose(perm, cum uint16) uint16 {
 	if perm == 0 {
 		return cum
@@ -422,22 +374,10 @@ func (r *reducer) compose(perm, cum uint16) uint16 {
 	return r.rank[lexRank(out[:len(c)])]
 }
 
-// realDecision translates a decision taken in the canonical frame of a node
-// with cumulative permutation cum back into the real (initial) frame, so
-// recorded schedules replay against an unreduced engine.
-func realDecision(r *reducer, d tso.Decision, cum []int) tso.Decision {
-	if cum == nil {
-		return d
-	}
-	inv := make([]int, len(cum))
-	for i, j := range cum {
-		inv[j] = i
-	}
-	return r.pullBack(d, inv)
-}
-
-// realDec is realDecision for a cumulative permutation given as an index
-// into r.perms (0 is the identity).
+// realDec translates a decision taken in the canonical frame of a state with
+// cumulative permutation cum (an index into r.perms, 0 the identity) back
+// into the real (initial) frame, so recorded schedules replay against an
+// unreduced engine.
 func (r *reducer) realDec(d tso.Decision, cum uint16) tso.Decision {
 	if cum == 0 {
 		return d

@@ -182,7 +182,7 @@ func TestFastCheckVerifiesPetersonCompletely(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Check(context.Background(), 0)
+	res, err := eng.Check(context.Background(), ParallelOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestFastCheckFindsPetersonNoFenceViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Check(context.Background(), 0)
+	res, err := eng.Check(context.Background(), ParallelOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestFastCheckBakeryTSOSafePSOUnsafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Check(context.Background(), 0)
+	res, err := eng.Check(context.Background(), ParallelOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestFastCheckBakeryTSOSafePSOUnsafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resP, err := engP.Check(context.Background(), 0)
+	resP, err := engP.Check(context.Background(), ParallelOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestFastCheckWeakBakeryUnsafeEvenUnderTSO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Check(context.Background(), 0)
+	res, err := eng.Check(context.Background(), ParallelOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,6 +338,12 @@ func TestEngineValidation(t *testing.T) {
 	if err := eng.Commit(st, 0, -1); err == nil {
 		t.Error("commit with empty buffer must be rejected")
 	}
+	if _, err := eng.Check(context.Background(), ParallelOpts{Workers: -1}); err == nil {
+		t.Error("a negative worker count must be rejected by Check")
+	}
+	if _, err := eng.CheckRecoverable(context.Background(), ParallelOpts{Workers: -1}, CrashOpts{MaxCrashes: 1}); err == nil {
+		t.Error("a negative worker count must be rejected by CheckRecoverable")
+	}
 }
 
 func TestStateCloneIndependence(t *testing.T) {
@@ -369,7 +375,7 @@ func TestFastCheckDekker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Check(context.Background(), 0)
+	res, err := eng.Check(context.Background(), ParallelOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +392,7 @@ func TestFastCheckDekker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resNF, err := engNF.Check(context.Background(), 0)
+	resNF, err := engNF.Check(context.Background(), ParallelOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +419,7 @@ func TestFastCheckBakeryThreeProcesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Check(context.Background(), 6_000_000)
+	res, err := eng.Check(context.Background(), ParallelOpts{MaxStates: 6_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +440,7 @@ func TestLamportFastVerification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Check(context.Background(), 2_000_000)
+	res, err := eng.Check(context.Background(), ParallelOpts{MaxStates: 2_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +491,7 @@ func TestFastMinimize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Check(context.Background(), 0)
+	res, err := eng.Check(context.Background(), ParallelOpts{})
 	if err != nil || !res.Violation {
 		t.Fatalf("no violation: %v", err)
 	}
