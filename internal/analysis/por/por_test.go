@@ -234,66 +234,78 @@ func explore(t *testing.T, eng *vmprog.Engine, n, limit int) []*vmprog.State {
 
 // TestCanonicalOrbitOracle is the brute-force soundness oracle for the
 // symmetry canonicalizer: over every reachable state of every symmetric
-// registry program at n <= 3, the canonical representative must be
-// identical across the state's entire orbit under all n! process
-// permutations, and must itself be a member of that orbit. Together these
-// say the canonicalizer picks exactly one representative per orbit -
-// states are merged if and only if a permutation relates them.
+// registry program at n <= 3, and of mcs at n = 4 (the 24-permutation group
+// the explore-sym benchmark workload canonicalizes over), the canonical
+// representative must be identical across the state's entire orbit under
+// all n! process permutations, and must itself be a member of that orbit.
+// Together these say the canonicalizer picks exactly one representative per
+// orbit - states are merged if and only if a permutation relates them.
 func TestCanonicalOrbitOracle(t *testing.T) {
-	limit := 1500
+	// States per program at n <= 3, and for mcs at n = 4, where a state
+	// costs 24 canonicalizations of 24 images each.
+	limit, limit4 := 1500, 10000
 	if testing.Short() {
-		limit = 300
+		limit, limit4 = 300, 2000
 	}
 	for _, e := range vmprog.Registry() {
 		if e.FixedN > 3 {
 			continue // tournament: 4! orbits, and not symmetric anyway
 		}
-		n := testN(e, 3)
-		p, err := e.Build(n)
-		if err != nil {
-			t.Fatalf("%s: %v", e.Name, err)
+		ns := []int{testN(e, 3)}
+		if e.Name == "mcs" {
+			ns = append(ns, 4)
 		}
-		res, err := por.Analyze(p, n)
-		if err != nil {
-			t.Fatalf("%s: %v", e.Name, err)
-		}
-		if !res.Symmetric {
-			continue
-		}
-		t.Run(fmt.Sprintf("%s/n=%d", e.Name, n), func(t *testing.T) {
-			red, err := vmprog.NewEngineOrdering(p, n, tso.TSO)
+		for _, n := range ns {
+			lim := limit
+			if n == 4 {
+				lim = limit4
+			}
+			p, err := e.Build(n)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", e.Name, err)
 			}
-			if err := red.UsePruning(res.Facts); err != nil {
-				t.Fatal(err)
-			}
-			plain, err := vmprog.NewEngineOrdering(p, n, tso.TSO)
+			res, err := por.Analyze(p, n)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", e.Name, err)
 			}
-			perms := permutations(n)
-			identity := perms[0]
-			for _, s := range explore(t, plain, n, limit) {
-				rep, permUsed := red.CanonicalState(s)
-				if permUsed == nil {
-					permUsed = identity
+			if !res.Symmetric {
+				continue
+			}
+			t.Run(fmt.Sprintf("%s/n=%d", e.Name, n), func(t *testing.T) {
+				red, err := vmprog.NewEngineOrdering(p, n, tso.TSO)
+				if err != nil {
+					t.Fatal(err)
 				}
-				// The representative is the chosen permutation's image of
-				// the (liveness-normalized) state.
-				if img := red.PermuteState(s, permUsed); !reflect.DeepEqual(rep, img) {
-					t.Fatalf("representative is not the claimed orbit member\nstate %v\nperm %v\nrep   %v\nimage %v",
-						s, permUsed, rep, img)
+				if err := red.UsePruning(res.Facts); err != nil {
+					t.Fatal(err)
 				}
-				for _, perm := range perms {
-					img := red.PermuteState(s, perm)
-					got, _ := red.CanonicalState(img)
-					if !reflect.DeepEqual(got, rep) {
-						t.Fatalf("orbit split: state %v under perm %v canonicalizes to\n%v\nwant\n%v",
-							s, perm, got, rep)
+				plain, err := vmprog.NewEngineOrdering(p, n, tso.TSO)
+				if err != nil {
+					t.Fatal(err)
+				}
+				perms := permutations(n)
+				identity := perms[0]
+				for _, s := range explore(t, plain, n, lim) {
+					rep, permUsed := red.CanonicalState(s)
+					if permUsed == nil {
+						permUsed = identity
+					}
+					// The representative is the chosen permutation's image
+					// of the (liveness-normalized) state.
+					if img := red.PermuteState(s, permUsed); !reflect.DeepEqual(rep, img) {
+						t.Fatalf("representative is not the claimed orbit member\nstate %v\nperm %v\nrep   %v\nimage %v",
+							s, permUsed, rep, img)
+					}
+					for _, perm := range perms {
+						img := red.PermuteState(s, perm)
+						got, _ := red.CanonicalState(img)
+						if !reflect.DeepEqual(got, rep) {
+							t.Fatalf("orbit split: state %v under perm %v canonicalizes to\n%v\nwant\n%v",
+								s, perm, got, rep)
+						}
 					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

@@ -86,6 +86,9 @@ type SymForm struct {
 // Mapped reports whether the form denotes a real (non-identity) map.
 func (f SymForm) Mapped() bool { return f.B != 0 }
 
+// valid reports whether B is one of the three values a form may carry.
+func (f SymForm) valid() bool { return f.B >= -1 && f.B <= 1 }
+
 // apply maps x under the permutation perm (perm[i] = image of process i).
 func (f SymForm) apply(x uint64, perm []int) uint64 {
 	if f.B == 0 {
@@ -198,6 +201,8 @@ func (e *Engine) Ordering() tso.Ordering { return e.ord }
 // version mismatches return ErrStaleFacts (wrapped) instead of being
 // silently ignored, because stale cached facts reinterpreted under a new
 // schema would corrupt the exploration rather than merely slow it down.
+// For the same reason symmetry facts whose forms do not describe a
+// permutation of the variables are an error (see newSymGroup).
 func (e *Engine) UsePruning(f *PruneFacts) error {
 	if f == nil {
 		e.facts = nil
@@ -220,6 +225,7 @@ func (e *Engine) UsePruning(f *PruneFacts) error {
 		return fmt.Errorf("vmprog: footprint tables cover %d/%d points, want %d",
 			len(f.FutureReads), len(f.FutureWrites), e.n*nc)
 	}
+	var g *symGroup
 	if s := f.Symmetry; s != nil {
 		if len(s.RegForms) != nc || len(s.ValForms) != len(e.prog.Vars) || len(s.CellForms) != len(e.prog.Vars) {
 			return fmt.Errorf("vmprog: symmetry facts shaped %d/%d/%d, want %d/%d/%d",
@@ -231,9 +237,13 @@ func (e *Engine) UsePruning(f *PruneFacts) error {
 					pc, len(s.RegForms[pc]), NumRegs)
 			}
 		}
+		var err error
+		if g, err = newSymGroup(e.prog, e.n, f); err != nil {
+			return err
+		}
 	}
 	e.facts = f
-	e.red = newReducer(e, f)
+	e.red = newReducer(e, f, g)
 	return nil
 }
 

@@ -456,12 +456,13 @@ func (g *pgraph) path(h uint64) []tso.Decision {
 	return out
 }
 
-// workerClone builds an engine sharing the (immutable) program and facts but
-// owning private reducer scratch, so workers canonicalize concurrently.
+// workerClone builds an engine sharing the (immutable) program, facts and
+// symmetry group but owning private reducer scratch, so workers
+// canonicalize concurrently.
 func (e *Engine) workerClone() *Engine {
 	ne := &Engine{prog: e.prog, n: e.n, ord: e.ord, facts: e.facts}
-	if e.facts != nil {
-		ne.red = newReducer(ne, e.facts)
+	if e.red != nil {
+		ne.red = newReducer(ne, e.facts, e.red.g)
 	}
 	return ne
 }

@@ -1,6 +1,10 @@
 package vmprog
 
-import "priceadaptive/internal/tso"
+import (
+	"fmt"
+
+	"priceadaptive/internal/tso"
+)
 
 // maxSymmetryN bounds the process count for which canonicalization is
 // attempted: the canonicalizer enumerates all n! permutations per state, so
@@ -8,48 +12,128 @@ import "priceadaptive/internal/tso"
 // state savings in wall-clock terms.
 const maxSymmetryN = 7
 
-// reducer holds the per-engine derived tables the reduced exploration
-// consults on every state: instantiated future-footprint bitsets, the
-// permutation group (when symmetry facts are present), and reusable scratch
-// buffers. It is built by UsePruning and, because of the scratch buffers,
-// serves one goroutine at a time: the frontier engine gives each worker a
-// reducer of its own (workerClone).
+// reducer holds what the reduced exploration consults on every state: the
+// pruning facts, instantiated future-footprint bitsets, the symmetry group
+// (when symmetry facts are present) and reusable scratch buffers. It is
+// built by UsePruning and, because of the scratch buffers, serves one
+// goroutine at a time: the frontier engine gives each worker a reducer of
+// its own (workerClone), sharing the read-only group.
 type reducer struct {
-	e   *Engine
-	f   *PruneFacts
-	sym *SymmetryFacts // nil: no symmetry canonicalization
+	f *PruneFacts
+	g *symGroup // nil: no symmetry canonicalization
+	// candR/candW are the ample candidate's read/write footprint scratch.
+	candR, candW []uint64
+	// off[i] is where process i's fields start in the identity encoding
+	// canonEncode is permuting; encA/encB hold the smaller images it
+	// finds, out CanonicalState's encoding.
+	off             []int
+	encA, encB, out []uint64
+}
+
+func newReducer(e *Engine, f *PruneFacts, g *symGroup) *reducer {
+	nw := (len(e.prog.Vars) + 63) / 64
+	r := &reducer{f: f, g: g, candR: make([]uint64, nw), candW: make([]uint64, nw)}
+	if g != nil {
+		r.off = make([]int, e.n)
+	}
+	return r
+}
+
+// symGroup is the permutation group the canonicalizer ranges over, with
+// per-permutation tables that turn an image's memory into table lookups.
+// UsePruning builds and checks it once per engine; it is read-only
+// afterwards, so every worker's reducer shares it.
+type symGroup struct {
+	facts *SymmetryFacts
+	nv    int
 	// perms enumerates S_n with the identity first and invs holds their
 	// inverses. The frontier engines name a permutation by its index in
 	// perms; rank maps a permutation's lexicographic rank to that index.
 	perms, invs [][]int
 	rank        []uint16
-	// candR/candW are the ample candidate's read/write footprint scratch.
-	candR, candW []uint64
-	// encA/encB are state-encoding scratch for the min-lex comparison, mem
-	// the permuted memory image, out CanonicalState's encoding.
-	encA, encB, mem, out []uint64
+	// from[pi*nv+c] is the variable whose content lands in cell c under
+	// perms[pi], the inverse of the cell forms; to[pi*nv+v] is the cell
+	// that receives variable v's content.
+	from, to []int32
+	// cells lists, ascending, the cells whose cell form or value form is a
+	// real map. Every other cell keeps its own content in every image, so
+	// it ties under every permutation and the comparison skips it.
+	cells []int32
+	// mapped[pc] marks the registers live at pc whose form is a real map;
+	// every other register keeps its (liveness-masked) value in every image.
+	mapped []uint16
 }
 
-func newReducer(e *Engine, f *PruneFacts) *reducer {
-	r := &reducer{e: e, f: f}
-	nw := (len(e.prog.Vars) + 63) / 64
-	r.candR = make([]uint64, nw)
-	r.candW = make([]uint64, nw)
-	if f.Symmetry != nil && e.n <= maxSymmetryN {
-		r.sym = f.Symmetry
-		r.perms = permutations(e.n)
-		r.invs = make([][]int, len(r.perms))
-		r.rank = make([]uint16, len(r.perms))
-		for i, p := range r.perms {
-			r.invs[i] = make([]int, len(p))
-			for j, k := range p {
-				r.invs[i][k] = j
+// newSymGroup checks f's symmetry facts for program p at n processes and
+// builds their group tables: nil when n exceeds maxSymmetryN, where the
+// facts go unused. Facts may come back from a JSON cache, so a form whose
+// B is not -1, 0 or +1, or cell forms that do not map the variables
+// one-to-one onto themselves under every permutation, are errors: the one
+// would index past the memory, the other merge states that are not
+// symmetric.
+func newSymGroup(p *Program, n int, f *PruneFacts) (*symGroup, error) {
+	sym := f.Symmetry
+	for pc, forms := range sym.RegForms {
+		for reg, fm := range forms {
+			if !fm.valid() {
+				return nil, fmt.Errorf("vmprog: symmetry reg form at pc %d register %d has B=%d, want -1, 0 or +1", pc, reg, fm.B)
 			}
-			r.rank[lexRank(p)] = uint16(i)
 		}
-		r.mem = make([]uint64, len(e.prog.Vars))
 	}
-	return r
+	for v := range sym.ValForms {
+		if fm := sym.ValForms[v]; !fm.valid() {
+			return nil, fmt.Errorf("vmprog: symmetry value form of variable %d has B=%d, want -1, 0 or +1", v, fm.B)
+		}
+		if fm := sym.CellForms[v]; !fm.valid() {
+			return nil, fmt.Errorf("vmprog: symmetry cell form of variable %d has B=%d, want -1, 0 or +1", v, fm.B)
+		}
+	}
+	if n > maxSymmetryN {
+		return nil, nil
+	}
+	nv := len(p.Vars)
+	g := &symGroup{facts: sym, nv: nv, perms: permutations(n)}
+	g.invs = make([][]int, len(g.perms))
+	g.rank = make([]uint16, len(g.perms))
+	g.from = make([]int32, len(g.perms)*nv)
+	g.to = make([]int32, len(g.perms)*nv)
+	for pi, perm := range g.perms {
+		g.invs[pi] = make([]int, n)
+		for j, k := range perm {
+			g.invs[pi][k] = j
+		}
+		g.rank[lexRank(perm)] = uint16(pi)
+		from, to := g.from[pi*nv:(pi+1)*nv], g.to[pi*nv:(pi+1)*nv]
+		for c := range from {
+			from[c] = -1
+		}
+		for v := range to {
+			c := sym.CellForms[v].apply(uint64(v), perm)
+			if c >= uint64(nv) {
+				return nil, fmt.Errorf("vmprog: symmetry cell form sends variable %d to cell %d under permutation %v, past the last of %d variables",
+					v, int64(c), perm, nv)
+			}
+			if w := from[c]; w >= 0 {
+				return nil, fmt.Errorf("vmprog: symmetry cell forms send variables %d and %d to cell %d under permutation %v",
+					w, v, c, perm)
+			}
+			from[c], to[v] = int32(v), int32(c)
+		}
+	}
+	for c := range nv {
+		if sym.CellForms[c].Mapped() || sym.ValForms[c].Mapped() {
+			g.cells = append(g.cells, int32(c))
+		}
+	}
+	g.mapped = make([]uint16, len(sym.RegForms))
+	for pc, forms := range sym.RegForms {
+		for reg, fm := range forms {
+			if fm.Mapped() && f.LiveRegs[pc]&(1<<reg) != 0 {
+				g.mapped[pc] |= 1 << reg
+			}
+		}
+	}
+	return g, nil
 }
 
 // permutations enumerates S_n; the identity is the first element.
@@ -237,7 +321,7 @@ func (r *reducer) zeroDead(s *State) {
 // forms, and buffered writes are relabeled in order. Dead registers are
 // zeroed so the action is well-defined on liveness-normalized states.
 func (r *reducer) applyPerm(s *State, perm []int) *State {
-	sym := r.sym
+	sym := r.g.facts
 	ns := &State{
 		Mem:   make([]uint64, len(s.Mem)),
 		Procs: make([]PState, len(s.Procs)),
@@ -279,86 +363,138 @@ func (r *reducer) applyPerm(s *State, perm []int) *State {
 	return ns
 }
 
+// bufAt is where a process's buffer length sits among its fields in the
+// flat encoding: after the flags word and the registers.
+const bufAt = 1 + NumRegs
+
 // canonEncode appends the canonical encoding of s to dst: the flat encoding
 // with dead registers read as zero and, when symmetry facts are installed,
 // the lexicographic minimum over the orbit of s under S_n. It returns the
-// extended slice and the index in r.perms of the permutation that produced
-// the minimum (0, the identity, when none is smaller). It builds no State
-// per permutation and leaves s unmodified.
+// extended slice and the index in r.g.perms of the permutation that
+// produced the minimum: the first strict minimum in that order, so 0, the
+// identity, when none is smaller. The identity image is encoded straight
+// into dst and every other image is read off it; an image is written out
+// only once it is known to be smaller than the best so far. It builds no
+// State per permutation and leaves s unmodified.
 func (r *reducer) canonEncode(dst []uint64, s *State) ([]uint64, uint16) {
-	if r.sym == nil {
-		return encodeLive(dst, s, r.f.LiveRegs), 0
+	start := len(dst)
+	dst = encodeLive(dst, s, r.f.LiveRegs)
+	g := r.g
+	if g == nil {
+		return dst, 0
 	}
-	r.encA = encodeLive(r.encA[:0], s, r.f.LiveRegs)
-	best := uint16(0)
-	for pi := 1; pi < len(r.perms); pi++ {
-		if r.permLess(s, pi) {
+	id := dst[start:]
+	k := g.nv
+	for i := range r.off {
+		r.off[i] = k
+		k += bufAt + 1 + 2*int(id[k+bufAt])
+	}
+	best, bi := id, uint16(0)
+	for pi := 1; pi < len(g.perms); pi++ {
+		if r.permLess(id, best, pi) {
+			// encA is never the best: it alternates with encB.
+			r.encA = r.image(r.encA[:0], id, pi)
+			best, bi = r.encA, uint16(pi)
 			r.encA, r.encB = r.encB, r.encA
-			best = uint16(pi)
 		}
 	}
-	return append(dst, r.encA...), best
+	if bi != 0 {
+		copy(id, best)
+	}
+	return dst, bi
 }
 
-// permLess writes into r.encB the encoding of the image of s under
-// r.perms[pi] - what encode(applyPerm(s, perm)) yields - and reports whether
-// it is lexicographically smaller than r.encA. It stops at the first memory
-// image or process slot that settles the image as not smaller.
-func (r *reducer) permLess(s *State, pi int) bool {
-	sym, perm, inv := r.sym, r.perms[pi], r.invs[pi]
-	clear(r.mem)
-	for v, x := range s.Mem {
-		r.mem[sym.CellForms[v].apply(uint64(v), perm)] = sym.ValForms[v].apply(x, perm)
+// permLess reports whether the image under r.g.perms[pi] of the state whose
+// identity encoding is id is lexicographically smaller than best, the
+// encoding of another image of it. It computes the image a word at a time
+// in encoding order and returns at the first word that differs from best:
+// memory first, cell by cell through the permutation's table (skipping the
+// cells that tie under every permutation), then slot by slot, slot j
+// holding process inv[j] with its live registers rewritten through the
+// forms at its PC and its buffered writes relabeled in order.
+func (r *reducer) permLess(id, best []uint64, pi int) bool {
+	g := r.g
+	vf, perm := g.facts.ValForms, g.perms[pi]
+	from := g.from[pi*g.nv : (pi+1)*g.nv]
+	for _, c := range g.cells {
+		v := from[c]
+		if x := vf[v].apply(id[v], perm); x != best[c] {
+			return x < best[c]
+		}
 	}
-	out := append(r.encB[:0], r.mem...)
-	k, c := cmpFrom(out, r.encA, 0)
-	// Slot j holds process inv[j], its registers rewritten through the forms
-	// at its PC and its buffered writes relabeled in order. Once the image
-	// is smaller it is written out whole: it becomes the new minimum.
-	for j := 0; j < len(inv) && c <= 0; j++ {
-		p := &s.Procs[inv[j]]
-		out = append(out, pflags(p))
-		live, forms := r.f.LiveRegs[p.PC], sym.RegForms[p.PC]
-		for reg, x := range p.Regs {
-			if live&(1<<reg) == 0 {
-				x = 0
-			} else {
+	to := g.to[pi*g.nv : (pi+1)*g.nv]
+	k := g.nv
+	for _, i := range g.invs[pi] {
+		// p is the process's fields; b is the slot's in best, laid out
+		// alike as long as the words so far tie.
+		p, b := id[r.off[i]:], best[k:]
+		if p[0] != b[0] {
+			return p[0] < b[0]
+		}
+		pc := int(p[0] >> pcShift & pcMask)
+		mapped, forms := g.mapped[pc], g.facts.RegForms[pc]
+		for reg := range NumRegs {
+			x := p[1+reg]
+			if mapped&(1<<reg) != 0 {
 				x = forms[reg].apply(x, perm)
 			}
-			out = append(out, x)
-		}
-		out = append(out, uint64(len(p.Buf)))
-		for _, b := range p.Buf {
-			out = append(out, sym.CellForms[b.v].apply(uint64(b.v), perm), sym.ValForms[b.v].apply(b.x, perm))
-		}
-		if c == 0 {
-			k, c = cmpFrom(out, r.encA, k)
-		}
-	}
-	r.encB = out
-	return c < 0
-}
-
-// cmpFrom compares a with b from index k on, given a[:k] == b[:k], up to
-// the end of a. It returns the index of the first difference (len(a) when
-// there is none) and -1, 0 or +1 as a is smaller, equal so far or larger.
-// b is a complete encoding of the same program, so the self-delimiting
-// layout keeps b[k] in range wherever a[:k] == b[:k].
-func cmpFrom(a, b []uint64, k int) (int, int) {
-	for ; k < len(a); k++ {
-		if a[k] != b[k] {
-			if a[k] < b[k] {
-				return k, -1
+			if x != b[1+reg] {
+				return x < b[1+reg]
 			}
-			return k, 1
 		}
+		if p[bufAt] != b[bufAt] {
+			return p[bufAt] < b[bufAt]
+		}
+		end := bufAt + 1 + 2*int(p[bufAt])
+		for w := bufAt + 1; w < end; w += 2 {
+			v := p[w]
+			if c := uint64(to[v]); c != b[w] {
+				return c < b[w]
+			}
+			if x := vf[v].apply(p[w+1], perm); x != b[w+1] {
+				return x < b[w+1]
+			}
+		}
+		k += end
 	}
-	return k, 0
+	return false
 }
 
-// compose chains two cumulative permutations, given as indices into r.perms
-// (0 is the identity): first cum, then perm. The result maps a real slot to
-// its slot after both.
+// image appends to dst the encoding of the image under r.g.perms[pi] of the
+// state whose identity encoding is id: the words permLess computes, and the
+// cells it skips.
+func (r *reducer) image(dst, id []uint64, pi int) []uint64 {
+	g := r.g
+	vf, perm := g.facts.ValForms, g.perms[pi]
+	for _, v := range g.from[pi*g.nv : (pi+1)*g.nv] {
+		dst = append(dst, vf[v].apply(id[v], perm))
+	}
+	to := g.to[pi*g.nv : (pi+1)*g.nv]
+	for _, i := range g.invs[pi] {
+		p := id[r.off[i]:]
+		pc := int(p[0] >> pcShift & pcMask)
+		mapped, forms := g.mapped[pc], g.facts.RegForms[pc]
+		dst = append(dst, p[0])
+		for reg := range NumRegs {
+			x := p[1+reg]
+			if mapped&(1<<reg) != 0 {
+				x = forms[reg].apply(x, perm)
+			}
+			dst = append(dst, x)
+		}
+		dst = append(dst, p[bufAt])
+		end := bufAt + 1 + 2*int(p[bufAt])
+		for w := bufAt + 1; w < end; w += 2 {
+			v := p[w]
+			dst = append(dst, uint64(to[v]), vf[v].apply(p[w+1], perm))
+		}
+	}
+	return dst
+}
+
+// compose chains two cumulative permutations, given as indices into
+// r.g.perms (0 is the identity): first cum, then perm. The result maps a
+// real slot to its slot after both.
 func (r *reducer) compose(perm, cum uint16) uint16 {
 	if perm == 0 {
 		return cum
@@ -366,23 +502,23 @@ func (r *reducer) compose(perm, cum uint16) uint16 {
 	if cum == 0 {
 		return perm
 	}
-	p, c := r.perms[perm], r.perms[cum]
+	p, c := r.g.perms[perm], r.g.perms[cum]
 	var out [maxSymmetryN]int
 	for i, j := range c {
 		out[i] = p[j]
 	}
-	return r.rank[lexRank(out[:len(c)])]
+	return r.g.rank[lexRank(out[:len(c)])]
 }
 
 // realDec translates a decision taken in the canonical frame of a state with
-// cumulative permutation cum (an index into r.perms, 0 the identity) back
+// cumulative permutation cum (an index into r.g.perms, 0 the identity) back
 // into the real (initial) frame, so recorded schedules replay against an
 // unreduced engine.
 func (r *reducer) realDec(d tso.Decision, cum uint16) tso.Decision {
 	if cum == 0 {
 		return d
 	}
-	return r.pullBack(d, r.invs[cum])
+	return r.pullBack(d, r.g.invs[cum])
 }
 
 // pullBack maps a decision through the inverse inv of a cumulative
@@ -392,7 +528,7 @@ func (r *reducer) pullBack(d tso.Decision, inv []int) tso.Decision {
 	d.P = tso.ProcID(inv[int(d.P)])
 	if d.Commit && d.VarPlus1 > 0 {
 		v := d.VarPlus1 - 1
-		d.VarPlus1 = int(r.sym.CellForms[v].apply(uint64(v), inv)) + 1
+		d.VarPlus1 = int(r.g.facts.CellForms[v].apply(uint64(v), inv)) + 1
 	}
 	return d
 }
@@ -403,7 +539,7 @@ func (r *reducer) pullBack(d tso.Decision, inv []int) tso.Decision {
 // are installed. Exported for the brute-force symmetry oracle tests in
 // internal/analysis/por.
 func (e *Engine) PermuteState(s *State, perm []int) *State {
-	if e.red == nil || e.red.sym == nil {
+	if e.red == nil || e.red.g == nil {
 		return nil
 	}
 	c := s.Clone()
@@ -428,7 +564,7 @@ func (e *Engine) CanonicalState(s *State) (*State, []int) {
 	if pi == 0 {
 		return c, nil
 	}
-	return c, r.perms[pi]
+	return c, r.g.perms[pi]
 }
 
 // PermuteVar returns the memory cell that receives variable v's content
@@ -436,8 +572,8 @@ func (e *Engine) CanonicalState(s *State) (*State, []int) {
 // installed): the cell-form action the canonicalizer and schedule
 // translation use.
 func (e *Engine) PermuteVar(v int, perm []int) int {
-	if e.red == nil || e.red.sym == nil {
+	if e.red == nil || e.red.g == nil {
 		return v
 	}
-	return int(e.red.sym.CellForms[v].apply(uint64(v), perm))
+	return int(e.red.g.facts.CellForms[v].apply(uint64(v), perm))
 }
