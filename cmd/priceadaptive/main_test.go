@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -68,6 +71,52 @@ func TestPersistentCacheServesSecondRun(t *testing.T) {
 	_, second := runJSON(t, []string{"e4"}, 1, dir)
 	if !bytes.Equal(first, second) {
 		t.Errorf("cached re-run differs:\n%s\nvs\n%s", first, second)
+	}
+}
+
+// TestExperimentTablesGolden pins every E1-E11 table, cell for cell, against
+// testdata/tables.golden: the default run's output with its "took:" timing
+// lines dropped. The tables are the repository's reproduction of the paper,
+// and the locks behind them are defined in internal/vmprog and
+// internal/mutex, so any change to a lock, a simulator or a checker that
+// moves a number fails here. E8 (random schedules of peterson, about 10 s
+// without the race detector) runs only without -short. Regenerate after a
+// deliberate change with
+//
+//	go run ./cmd/priceadaptive | grep -v '^took: ' > cmd/priceadaptive/testdata/tables.golden
+func TestExperimentTablesGolden(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "tables.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	var want strings.Builder
+	for _, section := range strings.SplitAfter(string(raw), "\n\n") {
+		if section == "" {
+			continue
+		}
+		id, _, ok := strings.Cut(strings.TrimPrefix(section, "== "), ":")
+		if !ok {
+			t.Fatalf("golden section without an experiment header: %q", section)
+		}
+		if testing.Short() && id == "E8" {
+			continue
+		}
+		ids = append(ids, strings.ToLower(id))
+		want.WriteString(section)
+	}
+	var out bytes.Buffer
+	if err := run(context.Background(), ids, false, 2, "", &out); err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, line := range strings.SplitAfter(out.String(), "\n") {
+		if !strings.HasPrefix(line, "took: ") {
+			got.WriteString(line)
+		}
+	}
+	if got.String() != want.String() {
+		t.Errorf("experiment tables drifted from testdata/tables.golden:\n--- got\n%s\n--- want\n%s", got.String(), want.String())
 	}
 }
 

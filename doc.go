@@ -22,7 +22,6 @@
 //     the paper separates;
 //   - internal/objects: counters, stacks, queues (lock-based and
 //     lock-free), and the Lemma 9 reduction (Algorithm 1);
-//   - internal/contention: total / interval / point contention per passage;
 //   - internal/check: model checking, sweeps, failure injection, schedule
 //     artifacts and delta-debugging minimization;
 //   - internal/vmprog: locks as register programs and a fast clonable-state

@@ -63,7 +63,7 @@ func RunWithCrashes(s *tso.Simulator, cfg CrashConfig, maxSteps int) (CrashRunRe
 			}
 		}
 		if allDone {
-			res.Completed = true
+			res.Completed = s.Completed()
 			res.Violation = s.ExclusionViolation()
 			return res, nil
 		}

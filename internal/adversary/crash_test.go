@@ -31,6 +31,30 @@ func runCrashes(t *testing.T, seed int64) (*tso.Execution, CrashRunResult) {
 	return ex, res
 }
 
+// TestRunWithCrashesPanicIsNotCompleted: a run that ends because a program
+// panicked is not complete.
+func TestRunWithCrashesPanicIsNotCompleted(t *testing.T) {
+	sim, err := tso.NewSimulator(tso.Config{N: 2}, func(s *tso.Simulator) (tso.Program, error) {
+		return func(p *tso.Proc) {
+			if p.ID() == 1 {
+				panic("kaboom")
+			}
+			p.CS()
+		}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Kill()
+	res, err := RunWithCrashes(sim, CrashConfig{Seed: 1}, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed {
+		t.Fatal("a run with a panicked program reported Completed")
+	}
+}
+
 // TestRunWithCrashesDeterministic pins the tentpole's determinism claim:
 // the same seed reproduces the exact schedule, crash points included.
 func TestRunWithCrashesDeterministic(t *testing.T) {

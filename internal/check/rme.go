@@ -30,24 +30,32 @@ type RMESuiteEntry struct {
 func RMEVerdictSuite(ctx context.Context, n int, opts ...Option) ([]RMESuiteEntry, error) {
 	var out []RMESuiteEntry
 	for _, e := range vmprog.Registry() {
-		nn := n
-		if e.FixedN > 0 {
-			nn = e.FixedN
-		}
-		p, err := vmprog.Lookup(e.Name, nn)
+		entry, err := rmeSuiteEntry(ctx, e, n, opts...)
 		if err != nil {
 			return nil, err
 		}
-		v, err := VerifyRecoverable(ctx, p, nn, opts...)
-		if err != nil {
-			return nil, fmt.Errorf("check: rme verdict for %s: %w", e.Name, err)
-		}
-		v.Program = e.Name // registry key, not the internal Program.Name
-		out = append(out, RMESuiteEntry{
-			Verdict:  v,
-			Expected: e.Recoverable,
-			Match:    v.Complete && v.Recoverable == e.Recoverable,
-		})
+		out = append(out, entry)
 	}
 	return out, nil
+}
+
+// rmeSuiteEntry computes one registry program's RMEVerdictSuite entry.
+func rmeSuiteEntry(ctx context.Context, e vmprog.Entry, n int, opts ...Option) (RMESuiteEntry, error) {
+	if e.FixedN > 0 {
+		n = e.FixedN
+	}
+	p, err := vmprog.Lookup(e.Name, n)
+	if err != nil {
+		return RMESuiteEntry{}, err
+	}
+	v, err := VerifyRecoverable(ctx, p, n, opts...)
+	if err != nil {
+		return RMESuiteEntry{}, fmt.Errorf("check: rme verdict for %s: %w", e.Name, err)
+	}
+	v.Program = e.Name // registry key, not the internal Program.Name
+	return RMESuiteEntry{
+		Verdict:  v,
+		Expected: e.Recoverable,
+		Match:    v.Complete && v.Recoverable == e.Recoverable,
+	}, nil
 }

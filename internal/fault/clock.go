@@ -8,7 +8,8 @@ import (
 )
 
 // Clock abstracts time for backoff and breaker code so that library
-// packages never call time.Sleep directly (the nosleep lint forbids it):
+// packages never call time.Sleep directly (padvet's clockdiscipline rules
+// forbid it):
 // production code uses Wall, tests use Manual and advance time by hand.
 type Clock interface {
 	// Now returns the current time.

@@ -477,45 +477,6 @@ func checkPackage(ld *loader, p *Package, fps []*filePass, suite []analyzer, st 
 	return cp
 }
 
-// CheckSource lints a single source file syntactically (no type
-// information: the type-dependent lockguard pass is skipped). The nosleep
-// compatibility shim and quick editor integrations use it. rules restricts
-// the output (nil = every syntactic rule).
-func CheckSource(path string, src []byte, rules []string) ([]Finding, error) {
-	fset := token.NewFileSet()
-	f, err := parseFile(fset, path, src)
-	if err != nil {
-		return nil, err
-	}
-	st := newRunState(rules)
-	fp := &filePass{
-		fset:    fset,
-		file:    f,
-		path:    path,
-		src:     src,
-		isMain:  f.Name.Name == "main",
-		allowed: parseAllows(fset, f, src),
-	}
-	var out []Finding
-	for _, a := range analyzers() {
-		if a.needsTypes() {
-			continue
-		}
-		a.collect(fp, st)
-		for _, fnd := range a.check(fp, st) {
-			if !st.enabled(fnd.Rule) {
-				continue
-			}
-			if _, ok := fp.suppressed(fnd.Rule, fnd.Line); ok {
-				continue
-			}
-			out = append(out, fnd)
-		}
-	}
-	sortFindings(out)
-	return out, nil
-}
-
 func sortFindings(fs []Finding) {
 	sort.Slice(fs, func(i, j int) bool {
 		if fs[i].File != fs[j].File {

@@ -280,6 +280,83 @@ func g() {
 	}
 }
 
+// nosleepRules are the three rules the nosleep:allow marker may suppress.
+var nosleepRules = []string{"time-sleep", "time-timer", "context-background"}
+
+func TestTimeSleepFlagged(t *testing.T) {
+	dir := writeModule(t, map[string]string{"a.go": `package a
+
+import "time"
+
+func f() { time.Sleep(time.Second) }
+`})
+	res := lint(t, dir, nosleepRules...)
+	wantRules(t, res.Findings, "time-sleep")
+	if res.Findings[0].Line != 5 {
+		t.Fatalf("finding at line %d, want 5", res.Findings[0].Line)
+	}
+}
+
+func TestTimeTimerFlagged(t *testing.T) {
+	dir := writeModule(t, map[string]string{"a.go": `package a
+
+import "time"
+
+func f() <-chan time.Time { return time.After(time.Second) }
+
+func g() <-chan time.Time { return time.Tick(time.Second) }
+`})
+	res := lint(t, dir, nosleepRules...)
+	wantRules(t, res.Findings, "time-timer", "time-timer")
+}
+
+func TestContextBackgroundFlaggedOutsideMain(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"lib.go": `package lib
+
+import "context"
+
+func f() context.Context { return context.Background() }
+`,
+		// package main owns its context root.
+		"cmd/x/main.go": `package main
+
+import "context"
+
+func main() { _ = context.Background() }
+`,
+	})
+	res := lint(t, dir, nosleepRules...)
+	wantRules(t, res.Findings, "context-background")
+	if res.Findings[0].File != "lib.go" {
+		t.Fatalf("finding %v, want only the library one", res.Findings[0])
+	}
+}
+
+func TestLegacyAllowAnnotation(t *testing.T) {
+	// The reasoned marker suppresses context.Background; g's bare marker
+	// has no reason and suppresses nothing.
+	dir := writeModule(t, map[string]string{"a.go": `package a
+
+import (
+	"context"
+	"time"
+)
+
+func f() context.Context {
+	return context.Background() // nosleep:allow queue base context, cancelled in Close
+}
+
+func g() { time.Sleep(1) } // nosleep:allow
+`})
+	res := lint(t, dir, nosleepRules...)
+	wantRules(t, res.Findings, "time-sleep")
+	wantRules(t, res.Allowed, "context-background")
+	if res.Findings[0].Line != 12 {
+		t.Fatalf("finding at line %d, want 12 (the bare marker's sleep)", res.Findings[0].Line)
+	}
+}
+
 func TestAllowAnnotations(t *testing.T) {
 	dir := writeModule(t, map[string]string{"a.go": `package a
 
@@ -300,6 +377,82 @@ func i() { time.Sleep(time.Second) } // padvet:allow time-sleep
 	wantRules(t, res.Allowed, "time-sleep", "time-sleep")
 	if res.Findings[0].Line != 9 || res.Findings[1].Line != 11 {
 		t.Fatalf("surviving findings at %v, want lines 9 and 11", res.Findings)
+	}
+}
+
+func TestAllowOnPreviousCommentLine(t *testing.T) {
+	dir := writeModule(t, map[string]string{"a.go": `package a
+
+import "time"
+
+func f() {
+	// nosleep:allow a full comment line annotates the line below it
+	time.Sleep(1)
+}
+
+func g() {
+	// nosleep:allow the previous-line form shields only the next line
+	_ = 0
+	time.Sleep(2)
+}
+
+func h() {
+	time.Sleep(3) // nosleep:allow an end-of-line annotation covers its own line
+	time.Sleep(4)
+}
+`})
+	res := lint(t, dir, "time-sleep")
+	// g's sleep is two lines below its annotation, and the second sleep in
+	// h is below an end-of-line one.
+	wantRules(t, res.Findings, "time-sleep", "time-sleep")
+	if res.Findings[0].Line != 13 || res.Findings[1].Line != 18 {
+		t.Fatalf("surviving findings at %v, want lines 13 and 18", res.Findings)
+	}
+	wantRules(t, res.Allowed, "time-sleep", "time-sleep")
+}
+
+func TestShadowingAndAliasing(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		// A local variable named time is not the time package.
+		"a.go": `package a
+
+type clock struct{}
+
+func (clock) Sleep(int) {}
+
+func f() {
+	var time clock
+	time.Sleep(1)
+}
+`,
+		// An aliased import is still the time package.
+		"b/b.go": `package b
+
+import tm "time"
+
+func f() { tm.Sleep(1) }
+`,
+	})
+	res := lint(t, dir, "time-sleep")
+	wantRules(t, res.Findings, "time-sleep")
+	if res.Findings[0].File != "b/b.go" {
+		t.Fatalf("finding %v outside the aliased file", res.Findings[0])
+	}
+}
+
+func TestSkipsTestsAndTestdata(t *testing.T) {
+	sleep := func(pkg string) string {
+		return "package " + pkg + "\n\nimport \"time\"\n\nfunc f() { time.Sleep(1) }\n"
+	}
+	dir := writeModule(t, map[string]string{
+		"a_test.go":       sleep("a"),
+		"testdata/b/b.go": sleep("b"),
+		"c.go":            sleep("a"),
+	})
+	res := lint(t, dir, "time-sleep")
+	wantRules(t, res.Findings, "time-sleep")
+	if res.Findings[0].File != "c.go" {
+		t.Fatalf("finding %v, want exactly the c.go one", res.Findings[0])
 	}
 }
 

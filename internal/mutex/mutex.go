@@ -16,6 +16,15 @@
 //
 // Every lock is allocated by a Factory against a tso.Memory and driven
 // through the standard passage program returned by Build.
+//
+// Nine locks are defined once, as VM programs of internal/vmprog, and run
+// here through vmprog.AdaptLock: tas, ttas, peterson and peterson-nofence,
+// filter, bakery and bakery-weak, burnslynch and caschain. The other seven
+// are goroutine code, each until the VM can express it: mcs and
+// yanganderson (DSM-owned spin variables), tournament (a size-parametric
+// program), anderson and clh (multiple passages per process), rtas (its
+// re-read of the lock word on every passage) and synthetic (its long
+// splitter chain, whose exhaustion panics).
 package mutex
 
 import (

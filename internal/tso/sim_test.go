@@ -593,6 +593,37 @@ func TestProgramPanicSurfaced(t *testing.T) {
 	}
 }
 
+// TestPanicIsNotCompleted holds Run and RandomPSO.Run to RunResult's
+// contract: a run in which a program panicked ends, but is not complete.
+func TestPanicIsNotCompleted(t *testing.T) {
+	build := func(sim *Simulator) (Program, error) {
+		v := sim.Memory().NewVar("x")
+		return func(p *Proc) {
+			p.Write(v, 1)
+			if p.ID() == 1 {
+				panic("kaboom")
+			}
+			p.CS()
+		}, nil
+	}
+	for _, panics := range []bool{false, true} {
+		n := 1
+		if panics {
+			n = 2
+		}
+		s := mustSim(t, Config{N: n}, build)
+		res, err := Run(s, NewRoundRobin(), 1000)
+		if err != nil || res.Completed == panics || s.Completed() == panics {
+			t.Fatalf("Run with panic=%t: err=%v completed=%t/%t", panics, err, res.Completed, s.Completed())
+		}
+		s = mustSim(t, Config{N: n}, build)
+		res, err = NewRandomPSO(1, 0.5).Run(s, 1000)
+		if err != nil || res.Completed == panics {
+			t.Fatalf("RandomPSO.Run with panic=%t: err=%v completed=%t", panics, err, res.Completed)
+		}
+	}
+}
+
 func TestKillStopsParkedGoroutines(t *testing.T) {
 	s, err := NewSimulator(Config{N: 4}, func(sim *Simulator) (Program, error) {
 		v := sim.Memory().NewVar("x")

@@ -3,7 +3,13 @@ package vmprog
 import "fmt"
 
 // Peterson builds the two-process Peterson lock as a VM program; withFences
-// selects the TSO-correct variant.
+// selects the TSO-correct variant. The algorithm is correct under sequential
+// consistency, but under TSO it needs a store-load fence between the doorway
+// writes (flag, turn) and the spin reads: without it both processes can read
+// the other's stale flag from before their buffered writes commit and enter
+// the critical section together. The fence-free variant exists to show that
+// failure (experiment E8); Attiya et al., "Laws of order" [5], show why such
+// fences are unavoidable.
 func Peterson(withFences bool) (*Program, error) {
 	name := "peterson-vm"
 	if !withFences {
@@ -41,7 +47,10 @@ func Peterson(withFences bool) (*Program, error) {
 	return b.Build()
 }
 
-// TAS builds a test-and-set lock (CAS retry loop) as a VM program.
+// TAS builds a test-and-set lock (CAS retry loop) as a VM program. Under
+// contention k a passage may retry its CAS Θ(k) times, and every CAS costs a
+// fence, so the lock is (trivially) adaptive with linear fence complexity,
+// as the paper's tradeoff says it must be.
 func TAS() (*Program, error) {
 	b := NewBuilder("tas-vm")
 	b.SetClass(ClassAdaptive)
@@ -65,8 +74,28 @@ func TAS() (*Program, error) {
 	return b.Build()
 }
 
-// Bakery builds Lamport's bakery for n processes as a VM program;
-// weakDoorway elides the ticket-publication fence (TSO-safe, PSO-broken).
+// Bakery builds Lamport's bakery for n processes as a VM program. It is the
+// constant-fence, non-adaptive reference point: every passage performs
+// exactly three fences (doorway, ticket publication, release) whatever the
+// contention, but scans all N processes, so its critical-event count is
+// Θ(N), a function of the number of processes rather than of contention.
+// That is the profile the paper proves unavoidable for O(1)-fence
+// algorithms: by Corollary 1 none can be adaptive. The Attiya-Hendler-Levy
+// algorithm [6] cuts this profile's RMR cost to O(log N) with much more
+// machinery; its fence/adaptivity shape is the same.
+//
+// Under TSO the fence after choosing[me] := 1 keeps the ticket reads from
+// floating above the doorway announcement, and the fence after the ticket
+// write publishes the ticket before the process inspects its competitors;
+// both are store-load orderings TSO would otherwise relax.
+//
+// weakDoorway elides the ticket-publication fence. That variant is broken
+// even under TSO, and is kept as a model-checking target. "TSO commits the
+// ticket before the choosing flag, so the doorway stays ordered" is not
+// enough: the problem is delay, not order. A process can run its whole wait
+// loop while its ticket is still buffered and invisible; a competitor then
+// draws an equal ticket and the ID tie-break admits both. Under PSO it breaks
+// more directly, the choosing flag committing before the ticket.
 func Bakery(n int, weakDoorway bool) (*Program, error) {
 	name := "bakery-vm"
 	if weakDoorway {
@@ -338,10 +367,13 @@ type Entry struct {
 	Recoverable bool
 }
 
-// Registry lists every registered VM program, sorted by name. internal/mutex
-// counterparts exist for the crash-free tier (yanganderson is represented by
-// the structurally equivalent tournament tree); of the RME tier only rtas
-// has one, the rest exist as VM programs only.
+// Registry lists every registered VM program, sorted by name. For bakery,
+// bakery-weak, burnslynch, caschain, filter, peterson, peterson-nofence,
+// tas and ttas the program is also internal/mutex's lock (through
+// AdaptLock); anderson, clh, mcs, rtas, synthetic and tournament have
+// goroutine twins there (yanganderson is represented by the structurally
+// equivalent tournament tree). The rest of the RME tier and dekker,
+// lamportfast and their broken variants exist as VM programs only.
 func Registry() []Entry {
 	return []Entry{
 		{Name: "anderson", Doc: "Anderson array queue lock (one-shot, CAS fetch-and-increment)",

@@ -2,15 +2,17 @@ package vmprog
 
 import "fmt"
 
-// This file ports the remaining internal/mutex algorithms to VM programs so
-// that the static analyzer (internal/analysis, cmd/padlint) and the fast
-// model-checking engine cover the full algorithm zoo. Every program encodes
-// one passage (entry protocol, CS, exit protocol); queue-based locks are
-// one-shot, matching the one-time mutual exclusion setting of the paper's
-// lower bound.
+// This file holds the VM programs of the rest of the lock zoo, so that the
+// static analyzer (internal/analysis, cmd/padlint) and the fast
+// model-checking engine cover all of it; ttas, caschain, burnslynch and
+// filter are also internal/mutex's definitions of those locks. Every
+// program encodes one passage (entry protocol, CS, exit protocol);
+// queue-based locks are one-shot, matching the one-time mutual exclusion
+// setting of the paper's lower bound.
 
 // TTAS builds a test-and-test-and-set lock: spin on a plain read, attempt
-// the CAS only when the lock looks free.
+// the CAS only when the lock looks free, so an acquisition attempt costs
+// O(1) RMRs under CC. Its fence cost is TAS's: one per CAS attempt.
 func TTAS() (*Program, error) {
 	b := NewBuilder("ttas-vm")
 	b.SetClass(ClassAdaptive)
@@ -35,9 +37,13 @@ func TTAS() (*Program, error) {
 }
 
 // CASChain builds the one-shot adaptive CAS-chain lock: claim the first
-// free slot, then wait for the previous slot's owner to release. At
-// contention k every claim lands in slot < k, so the passage performs O(k)
-// serializing CAS events - the Θ(k) fence price of adaptivity.
+// free slot, then wait for the previous slot's owner to release. A claim of
+// slot m follows CAS attempts that found slots 0..m-1 held, so at
+// contention k every claim lands in slot < k and the passage performs O(k)
+// serializing CAS events: linear adaptivity at a Θ(k) fence price, on the
+// tradeoff curve of Corollary 2 (an adaptive algorithm cannot do better
+// than Ω(log log N) fences). Slots are never recycled, matching the
+// one-time mutual exclusion setting of the lower bound.
 func CASChain(n int) (*Program, error) {
 	b := NewBuilder("caschain-vm")
 	b.SetClass(ClassAdaptive)
@@ -189,7 +195,10 @@ func CLH(n int) (*Program, error) {
 }
 
 // BurnsLynch builds the Burns-Lynch one-bit algorithm: a two-round scan,
-// deferring to lower IDs (with restart) and waiting out higher IDs.
+// deferring to lower IDs (with restart) and waiting out higher IDs. It uses
+// the least shared space possible, one bit per process, and is
+// deadlock-free but not starvation-free. Like bakery it is non-adaptive
+// (every passage scans all N flags), with one fence per flag write.
 func BurnsLynch(n int) (*Program, error) {
 	b := NewBuilder("burnslynch-vm")
 	b.SetClass(ClassNonAdaptive)
@@ -240,10 +249,14 @@ func BurnsLynch(n int) (*Program, error) {
 
 // Filter builds the n-process filter lock (n >= 2): n-1 levels, each
 // filtering out one process; a process waits at a level while it is the
-// victim and some other process is at the same level or higher. The level
-// loop is rotated into do-while form (the exit test sits after the body's
-// fence) so that every static path from entry to the CS crosses a fence -
-// the shape the analyzer's unfenced-cs-path check certifies.
+// victim and some other process is at the same level or higher. Under TSO
+// each level's doorway (level and victim writes) is fenced before the
+// level's spin reads. With Θ(N) fences and a scan of every process at every
+// level (Θ(N^2) reads), it is a correctness baseline, not a performance
+// point. The level loop is rotated into do-while form (the exit test sits
+// after the body's fence) so that every static path from entry to the CS
+// crosses a fence - the shape the analyzer's unfenced-cs-path check
+// certifies.
 func Filter(n int) (*Program, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("vmprog: filter requires n >= 2, got %d", n)
@@ -379,13 +392,13 @@ func Tournament4() (*Program, error) {
 }
 
 // Synthetic builds the adaptive read/write splitter-chain lock of
-// internal/mutex/synthetic.go as a VM program: walk a chain of
-// Moir-Anderson splitters to claim a slot (the seal/confirm/abandon
-// protocol arbitrates claims against scanners), then resolve every lower
-// slot in order. withFences selects the TSO-correct variant; the fenceless
-// one is the analyzer's canonical broken program - its splitter reads its
-// own buffered x-write (store forwarding), so two processes can both win
-// splitter 0.
+// internal/mutex/synthetic.go as a VM program, with a chain of 2n splitters
+// where the goroutine lock has 6n+16: walk a chain of Moir-Anderson
+// splitters to claim a slot (the seal/confirm/abandon protocol arbitrates
+// claims against scanners), then resolve every lower slot in order.
+// withFences selects the TSO-correct variant; the fenceless one is the
+// analyzer's canonical broken program - its splitter reads its own buffered
+// x-write (store forwarding), so two processes can both win splitter 0.
 func Synthetic(n int, withFences bool) (*Program, error) {
 	name := "synthetic-vm"
 	if !withFences {
@@ -394,7 +407,7 @@ func Synthetic(n int, withFences bool) (*Program, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("vmprog: synthetic requires n >= 1, got %d", n)
 	}
-	length := 2 * n // enough chain for every process to stop in practice
+	length := 2 * n
 	b := NewBuilder(name)
 	b.SetClass(ClassAdaptive)
 	x := b.Array("x", length)
@@ -443,8 +456,9 @@ func Synthetic(n int, withFences bool) (*Program, error) {
 	b.Label("right")
 	b.Add(rM, rM, rOne)
 	b.Jump("claim")
-	// A chain this long cannot be exhausted by n processes; if it ever
-	// were, park on a harmless read instead of entering the CS.
+	// Contended processes can all leave a splitter to the right, so the
+	// chain can run out; a process that exhausts it parks on a harmless
+	// read instead of entering the CS.
 	b.Label("stuck")
 	b.Read(rTmp, x, rZero)
 	b.Jump("stuck")

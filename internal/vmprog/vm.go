@@ -2,9 +2,10 @@
 // instead of opaque Go closures. The same program can then run on two
 // engines:
 //
-//   - the goroutine-based tso.Simulator (via Adapt), reusing every tool in
-//     the repository - schedulers, RMR accounting, the lower-bound
-//     construction;
+//   - the goroutine-based tso.Simulator (via Lock, behind AdaptLock and
+//     Adapt), reusing every tool in the repository - schedulers, RMR
+//     accounting, the lower-bound construction. Nine internal/mutex locks
+//     are defined this way, as programs of this package;
 //   - a fast engine (Engine) whose entire process state (program counter,
 //     registers, write buffer) is a flat value that can be cloned in O(1)
 //     allocations, giving the model checker true state snapshots: no
