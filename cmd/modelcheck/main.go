@@ -14,8 +14,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 
@@ -29,37 +31,48 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	err := run(ctx, os.Args[1:], os.Stdout)
+	stop()
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "modelcheck:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	alg := flag.String("alg", "peterson", fmt.Sprintf("algorithm: %v", mutex.Names()))
-	n := flag.Int("n", 2, "number of processes")
-	passages := flag.Int("passages", 1, "passages per process")
-	ordering := flag.String("ordering", "tso", "memory ordering: tso, pso")
-	maxStates := flag.Int("states", 200000, "state budget")
-	maxDepth := flag.Int("depth", 256, "schedule depth bound")
-	collapse := flag.Bool("collapse-spins", true, "merge states differing only in spin iterations (sound for pure spin-wait algorithms)")
-	engine := flag.String("engine", "replay", "checker engine: replay (goroutine simulator, any registered lock) or fast (VM programs only; complete verification)")
-	reduce := flag.String("reduce", "full", "fast-engine reduction: none (full interleaving graph), ample (persistent sets), full (ample + symmetry canonicalization; strongest sound mode)")
-	workers := flag.Int("workers", 0, "fast engine: frontier-engine worker count (0 = one worker; results are identical across worker counts)")
-	save := flag.String("save", "", "write a found violation's minimized schedule to this file")
-	replay := flag.String("replay", "", "replay a saved schedule instead of searching")
-	rmeMode := flag.Bool("rme", false, "run the crash-bounded recoverability check instead of the crash-free verification (fast engine, VM programs only)")
-	crashes := flag.Int("crashes", 2, "rme/crash-search: total crash budget")
-	crashPerProc := flag.Int("crash-per-proc", 1, "rme/crash-search: per-process crash bound")
-	crashSearch := flag.Bool("crash-search", false, "additionally run the adversarial crash-schedule search for the worst post-recovery RMR witness (implies -rme)")
-	searchBudget := flag.Int("search-budget", 4096, "crash-search: node-expansion budget")
-	searchSeed := flag.Int64("search-seed", 1, "crash-search: frontier tie-break seed")
-	model := flag.String("model", "dsm", "crash-search: cache model to price witnesses under (dsm, cc-wt, cc-wb)")
-	timeout := flag.Duration("timeout", 0, "abort the search after this wall-clock time (0 = no limit); Ctrl-C also cancels")
-	flag.Parse()
+// run parses args and runs the check they select, writing its report to w.
+// The replay engine checks the goroutine locks of internal/mutex; the fast
+// engine and -rme check the VM programs of internal/vmprog, so -alg is
+// resolved in the registry of the engine that runs it.
+func run(ctx context.Context, args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("modelcheck", flag.ContinueOnError)
+	alg := fs.String("alg", "peterson", fmt.Sprintf("algorithm: %v with the replay engine; %v with -engine fast or -rme", mutex.Names(), vmprog.Names()))
+	n := fs.Int("n", 2, "number of processes")
+	passages := fs.Int("passages", 1, "passages per process")
+	ordering := fs.String("ordering", "tso", "memory ordering: tso, pso")
+	maxStates := fs.Int("states", 200000, "state budget")
+	maxDepth := fs.Int("depth", 256, "schedule depth bound")
+	collapse := fs.Bool("collapse-spins", true, "merge states differing only in spin iterations (sound for pure spin-wait algorithms)")
+	engine := fs.String("engine", "replay", "checker engine: replay (goroutine simulator, any registered lock) or fast (VM programs only; complete verification)")
+	reduce := fs.String("reduce", "full", "fast-engine reduction: none (full interleaving graph), ample (persistent sets), full (ample + symmetry canonicalization; strongest sound mode)")
+	workers := fs.Int("workers", 0, "fast engine: frontier-engine worker count (0 = one worker; results are identical across worker counts)")
+	save := fs.String("save", "", "write a found violation's minimized schedule to this file")
+	replay := fs.String("replay", "", "replay a saved schedule instead of searching")
+	rmeMode := fs.Bool("rme", false, "run the crash-bounded recoverability check instead of the crash-free verification (fast engine, VM programs only)")
+	crashes := fs.Int("crashes", 2, "rme/crash-search: total crash budget")
+	crashPerProc := fs.Int("crash-per-proc", 1, "rme/crash-search: per-process crash bound")
+	crashSearch := fs.Bool("crash-search", false, "additionally run the adversarial crash-schedule search for the worst post-recovery RMR witness (implies -rme)")
+	searchBudget := fs.Int("search-budget", 4096, "crash-search: node-expansion budget")
+	searchSeed := fs.Int64("search-seed", 1, "crash-search: frontier tie-break seed")
+	model := fs.String("model", "dsm", "crash-search: cache model to price witnesses under (dsm, cc-wt, cc-wb)")
+	timeout := fs.Duration("timeout", 0, "abort the search after this wall-clock time (0 = no limit); Ctrl-C also cancels")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
@@ -74,11 +87,18 @@ func run() error {
 	}
 
 	if *rmeMode || *crashSearch {
-		return runRME(ctx, *alg, *n, *maxStates, *reduce, rmeOpts{
+		return runRME(ctx, w, *alg, *n, *maxStates, *reduce, rmeOpts{
 			crashes: *crashes, perProc: *crashPerProc,
 			search: *crashSearch, budget: *searchBudget, seed: *searchSeed,
 			model: *model, save: *save, workers: *workers,
 		})
+	}
+	if *engine == "fast" && *replay == "" {
+		ord, err := tso.ParseOrdering(*ordering)
+		if err != nil {
+			return err
+		}
+		return runFast(ctx, w, *alg, *n, ord, *maxStates, *reduce, *save, *workers)
 	}
 
 	factory, err := mutex.Lookup(*alg)
@@ -102,23 +122,16 @@ func run() error {
 			return fmt.Errorf("schedule does not apply to %s: %w", *alg, err)
 		}
 		if ok {
-			fmt.Printf("schedule reproduces an exclusion violation of %s (%d decisions)\n", *alg, len(sched))
+			fmt.Fprintf(w, "schedule reproduces an exclusion violation of %s (%d decisions)\n", *alg, len(sched))
 			return nil
 		}
-		fmt.Println("schedule applied cleanly; no violation reproduced")
+		fmt.Fprintln(w, "schedule applied cleanly; no violation reproduced")
 		return nil
 	}
 
 	cfg := tso.Config{N: *n, Passages: *passages}
 	if *ordering == "pso" {
 		cfg.Ordering = tso.PSO
-	}
-	if *engine == "fast" {
-		ord, err := tso.ParseOrdering(*ordering)
-		if err != nil {
-			return err
-		}
-		return runFast(ctx, *alg, *n, ord, *maxStates, *reduce, *save, *workers)
 	}
 	rep, err := check.Exhaustive{
 		MaxStates:     *maxStates,
@@ -131,22 +144,22 @@ func run() error {
 		}
 		return err
 	}
-	fmt.Printf("%s, N=%d, %s: explored %d states (%d decisions), complete=%v\n",
+	fmt.Fprintf(w, "%s, N=%d, %s: explored %d states (%d decisions), complete=%v\n",
 		*alg, *n, cfg.Ordering, rep.States, rep.Decisions, rep.Complete)
 	if rep.Violation == nil {
 		if rep.Complete {
-			fmt.Println("VERIFIED: no schedule violates mutual exclusion")
+			fmt.Fprintln(w, "VERIFIED: no schedule violates mutual exclusion")
 		} else {
-			fmt.Println("no violation found within the budget (partial verification)")
+			fmt.Fprintln(w, "no violation found within the budget (partial verification)")
 		}
 		return nil
 	}
-	fmt.Printf("VIOLATION: %v\n", rep.Violation)
+	fmt.Fprintf(w, "VIOLATION: %v\n", rep.Violation)
 	min, err := check.Minimize(ctx, cfg, build, rep.Schedule)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("minimized schedule: %d -> %d decisions\n", len(rep.Schedule), len(min))
+	fmt.Fprintf(w, "minimized schedule: %d -> %d decisions\n", len(rep.Schedule), len(min))
 	for i, d := range min {
 		kind := "step"
 		if d.Commit {
@@ -155,7 +168,7 @@ func run() error {
 				kind = fmt.Sprintf("commit(var %d, out of order)", d.VarPlus1-1)
 			}
 		}
-		fmt.Printf("  %2d: p%d %s\n", i, d.P, kind)
+		fmt.Fprintf(w, "  %2d: p%d %s\n", i, d.P, kind)
 	}
 	if *save != "" {
 		f, err := os.Create(*save)
@@ -166,7 +179,7 @@ func run() error {
 		if err := check.SaveSchedule(f, cfg, min); err != nil {
 			return err
 		}
-		fmt.Printf("saved to %s\n", *save)
+		fmt.Fprintf(w, "saved to %s\n", *save)
 	}
 	return nil
 }
@@ -186,7 +199,7 @@ type rmeOpts struct {
 // engine and, with -crash-search, runs the adversarial crash-schedule
 // search, verifying the worst-case post-recovery RMR witness on an
 // unreduced and a fully reduced engine before reporting it.
-func runRME(ctx context.Context, alg string, n, maxStates int, reduce string, o rmeOpts) error {
+func runRME(ctx context.Context, w io.Writer, alg string, n, maxStates int, reduce string, o rmeOpts) error {
 	prog, err := vmprog.Lookup(alg, n)
 	if err != nil {
 		return err
@@ -205,10 +218,10 @@ func runRME(ctx context.Context, alg string, n, maxStates int, reduce string, o 
 		return err
 	}
 	v.Program = alg
-	fmt.Println(v)
+	fmt.Fprintln(w, v)
 	if len(v.Counterexample) > 0 {
-		fmt.Printf("counterexample (%d decisions):\n", len(v.Counterexample))
-		printSchedule(prog, v.Counterexample)
+		fmt.Fprintf(w, "counterexample (%d decisions):\n", len(v.Counterexample))
+		printSchedule(w, prog, v.Counterexample)
 	}
 	if !o.search {
 		return nil
@@ -228,11 +241,11 @@ func runRME(ctx context.Context, alg string, n, maxStates int, reduce string, o 
 	if err != nil {
 		return err
 	}
-	fmt.Printf("crash search: %d expanded, %d completed schedules, exhausted=%v\n",
+	fmt.Fprintf(w, "crash search: %d expanded, %d completed schedules, exhausted=%v\n",
 		res.Expanded, res.Candidates, res.Exhausted)
-	w := res.Witness
-	if w == nil {
-		fmt.Println("no completed crash schedule found within the search budget")
+	wit := res.Witness
+	if wit == nil {
+		fmt.Fprintln(w, "no completed crash schedule found within the search budget")
 		return nil
 	}
 	facts, err := por.Facts(prog, n)
@@ -250,27 +263,27 @@ func runRME(ctx context.Context, alg string, n, maxStates int, reduce string, o 
 	if err := reduced.UsePruning(facts); err != nil {
 		return err
 	}
-	if err := w.Verify(plain, reduced); err != nil {
+	if err := wit.Verify(plain, reduced); err != nil {
 		return fmt.Errorf("witness failed verification: %w", err)
 	}
-	fmt.Printf("worst case found (%s): %d post-recovery RMRs with %d crash(es) in %d decisions (verified, reduce=none and reduce=full)\n",
-		w.Model, w.MaxRecoveryRMRs, w.Crashes, len(w.Schedule))
-	printSchedule(prog, w.Schedule)
+	fmt.Fprintf(w, "worst case found (%s): %d post-recovery RMRs with %d crash(es) in %d decisions (verified, reduce=none and reduce=full)\n",
+		wit.Model, wit.MaxRecoveryRMRs, wit.Crashes, len(wit.Schedule))
+	printSchedule(w, prog, wit.Schedule)
 	if o.save != "" {
-		data, err := json.MarshalIndent(w, "", " ")
+		data, err := json.MarshalIndent(wit, "", " ")
 		if err != nil {
 			return err
 		}
 		if err := os.WriteFile(o.save, append(data, '\n'), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("witness saved to %s\n", o.save)
+		fmt.Fprintf(w, "witness saved to %s\n", o.save)
 	}
 	return nil
 }
 
 // printSchedule renders a decision schedule one line per decision.
-func printSchedule(prog *vmprog.Program, sched []tso.Decision) {
+func printSchedule(w io.Writer, prog *vmprog.Program, sched []tso.Decision) {
 	for i, d := range sched {
 		kind := "step"
 		switch {
@@ -281,7 +294,7 @@ func printSchedule(prog *vmprog.Program, sched []tso.Decision) {
 		case d.Commit:
 			kind = "commit"
 		}
-		fmt.Printf("  %2d: p%d %s\n", i, d.P, kind)
+		fmt.Fprintf(w, "  %2d: p%d %s\n", i, d.P, kind)
 	}
 }
 
@@ -290,7 +303,7 @@ func printSchedule(prog *vmprog.Program, sched []tso.Decision) {
 // static reduction, and delta-debugging minimization of any counterexample
 // (schedules are recorded in the unreduced frame, so minimization replays
 // on a plain engine).
-func runFast(ctx context.Context, alg string, n int, ord tso.Ordering, maxStates int, reduce, save string, workers int) error {
+func runFast(ctx context.Context, w io.Writer, alg string, n int, ord tso.Ordering, maxStates int, reduce, save string, workers int) error {
 	prog, err := vmprog.Lookup(alg, n)
 	if err != nil {
 		return err
@@ -311,21 +324,21 @@ func runFast(ctx context.Context, alg string, n int, ord tso.Ordering, maxStates
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s (VM), N=%d, %s, reduce=%s: explored %d states (%d transitions), complete=%v\n",
+	fmt.Fprintf(w, "%s (VM), N=%d, %s, reduce=%s: explored %d states (%d transitions), complete=%v\n",
 		prog.Name, n, ord, mode, res.States, res.Transitions, res.Complete)
 	if !res.Violation {
 		if res.Complete {
-			fmt.Println("VERIFIED: no schedule violates mutual exclusion (exhaustive)")
+			fmt.Fprintln(w, "VERIFIED: no schedule violates mutual exclusion (exhaustive)")
 		} else {
-			fmt.Println("no violation found within the budget (partial verification)")
+			fmt.Fprintln(w, "no violation found within the budget (partial verification)")
 		}
 		return nil
 	}
-	min, err := eng.Minimize(res.Schedule)
+	min, err := eng.Minimize(ctx, res.Schedule)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("VIOLATION: minimized schedule %d -> %d decisions\n", len(res.Schedule), len(min))
+	fmt.Fprintf(w, "VIOLATION: minimized schedule %d -> %d decisions\n", len(res.Schedule), len(min))
 	for i, d := range min {
 		kind := "step"
 		if d.Commit {
@@ -334,7 +347,7 @@ func runFast(ctx context.Context, alg string, n int, ord tso.Ordering, maxStates
 				kind = fmt.Sprintf("commit %s (out of order)", prog.Vars[d.VarPlus1-1])
 			}
 		}
-		fmt.Printf("  %2d: p%d %s\n", i, d.P, kind)
+		fmt.Fprintf(w, "  %2d: p%d %s\n", i, d.P, kind)
 	}
 	if save != "" {
 		f, err := os.Create(save)
@@ -349,7 +362,7 @@ func runFast(ctx context.Context, alg string, n int, ord tso.Ordering, maxStates
 		if err := check.SaveSchedule(f, cfg, min); err != nil {
 			return err
 		}
-		fmt.Printf("saved to %s\n", save)
+		fmt.Fprintf(w, "saved to %s\n", save)
 	}
 	return nil
 }

@@ -2,8 +2,11 @@ package adversary
 
 import (
 	"context"
+	"errors"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"priceadaptive/internal/analysis/por"
 	"priceadaptive/internal/fault"
@@ -176,4 +179,30 @@ func FuzzCrashSchedules(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestCrashSearchDeadline holds the crash-schedule search to the
+// cancellation contract: on a search far larger than its 100 ms deadline it
+// returns the context's error within a second and leaves no goroutine
+// behind.
+func TestCrashSearchDeadline(t *testing.T) {
+	eng := searchEngine(t, "mcs", 4)
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := CrashSearch(ctx, eng, CrashSearchConfig{Seed: 1, Budget: 1 << 30, MaxCrashes: 2, MaxPerProc: 1})
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err %v, want the context's deadline error", err)
+	}
+	if elapsed > time.Second {
+		t.Errorf("returned %v after a 100ms deadline", elapsed)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines left running, %d before the call", n, base)
+	}
 }

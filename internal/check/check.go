@@ -193,21 +193,11 @@ func (it *iteration) dfs(sim *tso.Simulator, depth int) (*tso.Simulator, error) 
 	}
 	base := len(sim.Execution().Schedule)
 	for _, d := range choices {
-		var err error
-		switch {
-		case d.Crash:
-			_, err = sim.Crash(d.P)
-		case d.Commit && d.VarPlus1 > 0:
-			_, err = sim.CommitVar(d.P, sim.Memory().Vars()[d.VarPlus1-1])
-		case d.Commit:
-			_, err = sim.Commit(d.P)
-		default:
-			_, err = sim.Step(d.P)
-		}
-		if err != nil {
+		if _, err := sim.Apply(d); err != nil {
 			return sim, fmt.Errorf("check: decision %v at depth %d: %w", d, depth, err)
 		}
 		it.rep.Decisions++
+		var err error
 		sim, err = it.dfs(sim, depth+1)
 		if err != nil {
 			return sim, err
@@ -234,17 +224,7 @@ func rebuild(cfg tso.Config, build tso.Build, prefix []tso.Decision) (*tso.Simul
 		return nil, err
 	}
 	for _, d := range prefix {
-		switch {
-		case d.Crash:
-			_, err = sim.Crash(d.P)
-		case d.Commit && d.VarPlus1 > 0:
-			_, err = sim.CommitVar(d.P, sim.Memory().Vars()[d.VarPlus1-1])
-		case d.Commit:
-			_, err = sim.Commit(d.P)
-		default:
-			_, err = sim.Step(d.P)
-		}
-		if err != nil {
+		if _, err := sim.Apply(d); err != nil {
 			sim.Kill()
 			return nil, fmt.Errorf("check: rebuild: %w", err)
 		}

@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"priceadaptive/internal/mutex"
+	"priceadaptive/internal/tso"
 	"priceadaptive/internal/vmprog"
 )
 
@@ -71,6 +73,26 @@ func TestDeadlineEndsAsTimeBudget(t *testing.T) {
 			waitGoroutines(t, base)
 		}
 	}
+}
+
+// TestReplayCheckerDeadline holds the replay checker to the cancellation
+// contract: it starts a simulator, with a goroutine per process, on every
+// backtrack, and a 100 ms deadline must end it with the context's error
+// within a second, every simulator it started killed.
+func TestReplayCheckerDeadline(t *testing.T) {
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := Exhaustive{MaxStates: 1 << 30, MaxDepth: 1 << 20}.Verify(ctx, tso.Config{N: 4}, mutex.Build(mutex.NewMCS))
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err %v, want the context's deadline error", err)
+	}
+	if elapsed > time.Second {
+		t.Errorf("returned %v after a 100ms deadline", elapsed)
+	}
+	waitGoroutines(t, base)
 }
 
 // waitGoroutines polls, yielding the processor, until the goroutine count

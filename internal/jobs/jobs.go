@@ -26,7 +26,7 @@ import (
 
 // CodeVersion participates in job identity: bump it when a runner's behavior
 // changes so stale cached artifacts are not served for new code.
-const CodeVersion = "3"
+const CodeVersion = "4"
 
 // Spec is a job submission. Kind and Params define the job's identity;
 // TimeoutSec is execution metadata and does not participate in the hash.

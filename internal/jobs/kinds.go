@@ -297,7 +297,7 @@ func runModelCheckCached(ctx context.Context, params json.RawMessage, cache *Fac
 			if err != nil {
 				return nil, err
 			}
-			min, err := eng.Minimize(rep.Schedule)
+			min, err := eng.Minimize(ctx, rep.Schedule)
 			if err != nil {
 				return nil, err
 			}

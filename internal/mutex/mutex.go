@@ -17,14 +17,14 @@
 // Every lock is allocated by a Factory against a tso.Memory and driven
 // through the standard passage program returned by Build.
 //
-// Nine locks are defined once, as VM programs of internal/vmprog, and run
-// here through vmprog.AdaptLock: tas, ttas, peterson and peterson-nofence,
-// filter, bakery and bakery-weak, burnslynch and caschain. The other seven
-// are goroutine code, each until the VM can express it: mcs and
-// yanganderson (DSM-owned spin variables), tournament (a size-parametric
-// program), anderson and clh (multiple passages per process), rtas (its
-// re-read of the lock word on every passage) and synthetic (its long
-// splitter chain, whose exhaustion panics).
+// Twelve locks are defined once, as VM programs of internal/vmprog, and run
+// here through vmprog.AdaptLock: tas, ttas, rtas, peterson and
+// peterson-nofence, filter, bakery and bakery-weak, burnslynch, caschain,
+// mcs and tournament. The other four are goroutine code: anderson and clh
+// (state kept across passages, and initial values), yanganderson (no VM
+// port yet; the VM's owned arrays can express its DSM-local spin
+// variables) and synthetic (the lower-bound construction's victim, whose
+// long splitter chain panics when exhausted).
 package mutex
 
 import (
@@ -76,21 +76,22 @@ func Build(f Factory) tso.Build {
 // Registry maps algorithm names to factories, for the command-line tools.
 func Registry() map[string]Factory {
 	return map[string]Factory{
-		"anderson":     NewAnderson,
-		"clh":          NewCLH,
-		"tas":          NewTAS,
-		"ttas":         NewTTAS,
-		"rtas":         NewRTAS,
-		"peterson":     NewPeterson,
-		"filter":       NewFilter,
-		"bakery":       NewBakery,
-		"burnslynch":   NewBurnsLynch,
-		"bakery-weak":  NewBakeryWeakDoorway,
-		"tournament":   NewTournament,
-		"mcs":          NewMCS,
-		"yanganderson": NewYangAnderson,
-		"caschain":     NewCASChain,
-		"synthetic":    NewSynthetic,
+		"anderson":         NewAnderson,
+		"clh":              NewCLH,
+		"tas":              NewTAS,
+		"ttas":             NewTTAS,
+		"rtas":             NewRTAS,
+		"peterson":         NewPeterson,
+		"peterson-nofence": NewPetersonNoFences,
+		"filter":           NewFilter,
+		"bakery":           NewBakery,
+		"burnslynch":       NewBurnsLynch,
+		"bakery-weak":      NewBakeryWeakDoorway,
+		"tournament":       NewTournament,
+		"mcs":              NewMCS,
+		"yanganderson":     NewYangAnderson,
+		"caschain":         NewCASChain,
+		"synthetic":        NewSynthetic,
 	}
 }
 

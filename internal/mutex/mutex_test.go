@@ -364,7 +364,7 @@ func TestOneShotMarkers(t *testing.T) {
 
 func TestRegistryAndLookup(t *testing.T) {
 	names := Names()
-	if len(names) != 15 {
+	if len(names) != 16 {
 		t.Errorf("registry has %d entries: %v", len(names), names)
 	}
 	for _, name := range names {
@@ -380,7 +380,7 @@ func TestRegistryAndLookup(t *testing.T) {
 func TestLockNames(t *testing.T) {
 	sim, err := tso.NewSimulator(tso.Config{N: 4}, func(s *tso.Simulator) (tso.Program, error) {
 		for name, f := range Registry() {
-			if name == "peterson" {
+			if name == "peterson" || name == "peterson-nofence" {
 				continue // needs n=2
 			}
 			l, err := f(s.Memory(), 4)
@@ -400,8 +400,9 @@ func TestLockNames(t *testing.T) {
 }
 
 // TestVMLocksKeepVariableNames pins the variables the VM-defined locks
-// allocate, in order: traces, tables and the adversary's reports print
-// these names.
+// allocate, in order, and their DSM owners: traces, tables and the
+// adversary's reports print these names, and mcs's spin flags must be local
+// to their spinners.
 func TestVMLocksKeepVariableNames(t *testing.T) {
 	bakery := "bakery.choosing[0] bakery.choosing[1] bakery.number[0] bakery.number[1]"
 	peterson := "peterson.flag[0] peterson.flag[1] peterson.turn"
@@ -419,14 +420,17 @@ func TestVMLocksKeepVariableNames(t *testing.T) {
 		{"filter", NewFilter, "filter.level[0] filter.level[1] filter.victim[0] filter.victim[1]"},
 		{"burnslynch", NewBurnsLynch, "bl.flag[0] bl.flag[1]"},
 		{"caschain", NewCASChain, "caschain.slot[0] caschain.slot[1] caschain.done[0] caschain.done[1]"},
+		{"mcs", NewMCS, "mcs.tail mcs.next[0] mcs.next[1] mcs.locked[0]@p0 mcs.locked[1]@p1"},
+		{"tournament", NewTournament, "tourn.flag[0] tourn.flag[1] tourn.flag[2] tourn.flag[3] tourn.turn[0] tourn.turn[1]"},
+		{"rtas", NewRTAS, "rtas.lock"},
 	} {
-		sim, err := tso.NewSimulator(tso.Config{N: 2}, Build(tc.f))
+		sim, err := tso.NewSimulator(tso.Config{N: 2, Model: tso.DSM}, Build(tc.f))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		var names []string
 		for _, v := range sim.Memory().Vars() {
-			names = append(names, v.Name())
+			names = append(names, v.String()) // name@pN for a DSM-local variable
 		}
 		sim.Kill()
 		if got := strings.Join(names, " "); got != tc.want {

@@ -79,6 +79,27 @@ func NewCASChain(mem *tso.Memory, n int) (Lock, error) {
 	return oneShotLock{l}, nil
 }
 
+// NewMCS allocates an MCS queue lock for n processes (vmprog.MCS): each
+// process spins on its own locked flag, local to it under DSM.
+func NewMCS(mem *tso.Memory, n int) (Lock, error) {
+	return vmLock(mem, n, "mcs", "mcs.", vmprog.MCS)
+}
+
+// NewTournament allocates a binary tournament of two-process Peterson
+// locks for n processes (vmprog.Tournament): Θ(log N) fences and RMRs per
+// passage whatever the contention.
+func NewTournament(mem *tso.Memory, n int) (Lock, error) {
+	return vmLock(mem, n, "tournament", "tourn.", vmprog.Tournament)
+}
+
+// NewRTAS allocates the recoverable owner-stamped test-and-set lock
+// (vmprog.RTAS): the lock word holds the owner's id+1 and changes only by
+// CAS, and a recovering process enters the program's recover section,
+// which re-enters the CS when it finds its own stamp in the lock word.
+func NewRTAS(mem *tso.Memory, n int) (Lock, error) {
+	return vmLock(mem, n, "rtas", "rtas.", func(int) (*vmprog.Program, error) { return vmprog.RTAS() })
+}
+
 // programs caches each lock's VM program per size, keyed by progKey: the
 // replay checker makes a simulator, and so a lock, for every schedule it
 // explores.

@@ -43,8 +43,9 @@ type ReplayResult struct {
 
 // ReplayRMR replays sched on a fresh state of eng, charging every access
 // under the cache model exactly as rmr.Accountant charges the goroutine
-// engine's event stream (VM variables are unowned, so every access is
-// remote in the DSM sense, matching tso.Memory.NewVar). The replay is the
+// engine's event stream (an access is DSM-local only to the owner of a
+// variable in one of the program's owned arrays, as AdaptLock allocates
+// it; every other access is remote). The replay is the
 // accounting half of the crash-schedule search: the adversary proposes
 // crash points, this prices the recovery they force.
 func ReplayRMR(eng *vmprog.Engine, sched []tso.Decision, model rmr.CacheModel) (*ReplayResult, error) {
@@ -98,7 +99,8 @@ func ReplayRMR(eng *vmprog.Engine, sched []tso.Decision, model rmr.CacheModel) (
 			}
 			continue
 		}
-		if rmr.Classify(model, kind, ef.P, true, lines[ef.Var]) {
+		remote := eng.Program().Owner(ef.Var) != ef.P
+		if rmr.Classify(model, kind, ef.P, remote, lines[ef.Var]) {
 			c.RMRs++
 		}
 	}

@@ -31,17 +31,23 @@ func engine(t testing.TB, name string, n int) *vmprog.Engine {
 // schedule recorded on the goroutine engine (with rmr.Accountant attached)
 // must price identically when replayed through the fast engine by
 // rme.ReplayRMR - same passage attempts, same per-attempt RMR and fence
-// counts, same recovery tagging, under every cache model.
+// counts, same recovery tagging, under every cache model. Under DSM the
+// simulator's memory is DSM too, so mcs's owned spin flags are local to
+// their spinners on both sides.
 func TestReplayParityWithAccountant(t *testing.T) {
 	const n = 2
-	for _, name := range []string{"rtas", "km-rme", "dm-tas", "dm-queue", "tas"} {
+	for _, name := range []string{"rtas", "km-rme", "dm-tas", "dm-queue", "tas", "mcs"} {
 		for _, model := range rmr.Models() {
 			for seed := int64(1); seed <= 5; seed++ {
 				p, err := vmprog.Lookup(name, n)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sim, err := tso.NewSimulator(tso.Config{N: n}, vmprog.Adapt(p))
+				cfg := tso.Config{N: n}
+				if model == rmr.ModelDSM {
+					cfg.Model = tso.DSM
+				}
+				sim, err := tso.NewSimulator(cfg, vmprog.Adapt(p))
 				if err != nil {
 					t.Fatal(err)
 				}

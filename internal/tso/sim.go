@@ -1,6 +1,7 @@
 package tso
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -863,22 +864,82 @@ func (s *Simulator) ReplayPrefix(banned map[ProcID]bool, upTo int) (*Simulator, 
 		if banned[d.P] {
 			continue
 		}
-		switch {
-		case d.Crash:
-			_, err = ns.Crash(d.P)
-		case d.Commit && d.VarPlus1 > 0:
-			_, err = ns.CommitVar(d.P, ns.mem.vars[d.VarPlus1-1])
-		case d.Commit:
-			_, err = ns.Commit(d.P)
-		default:
-			_, err = ns.Step(d.P)
-		}
-		if err != nil {
+		if _, err := ns.Apply(d); err != nil {
 			ns.Kill()
 			return nil, fmt.Errorf("tso: replay decision %d (p%d): %w", i, d.P, err)
 		}
 	}
 	return ns, nil
+}
+
+// Apply applies one scheduling decision: a crash, a commit (of the oldest
+// buffered write, or of the write to variable VarPlus1-1, which only PSO
+// allows out of issue order) or a step. It is how every recorded schedule
+// is re-applied; a decision naming a variable the memory does not have is
+// an error.
+func (s *Simulator) Apply(d Decision) (Event, error) {
+	switch {
+	case d.Crash:
+		return s.Crash(d.P)
+	case d.Commit && d.VarPlus1 != 0:
+		if d.VarPlus1 < 1 || d.VarPlus1 > len(s.mem.vars) {
+			return Event{}, fmt.Errorf("tso: commit of variable %d out of range [0,%d)", d.VarPlus1-1, len(s.mem.vars))
+		}
+		return s.CommitVar(d.P, s.mem.vars[d.VarPlus1-1])
+	case d.Commit:
+		return s.Commit(d.P)
+	default:
+		return s.Step(d.P)
+	}
+}
+
+// Minimize shrinks a schedule by delta debugging while reproduces holds: it
+// trims the suffix by binary search on the prefix length, then drops single
+// decisions greedily until a fixed point. The result is 1-minimal: removing
+// any one remaining decision loses the property. An error from reproduces
+// means the candidate does not apply, which counts as not reproducing,
+// except for the whole schedule, where it is returned. Cancelling ctx
+// aborts the search between candidates.
+func Minimize(ctx context.Context, sched []Decision, reproduces func([]Decision) (bool, error)) ([]Decision, error) {
+	cur := append([]Decision(nil), sched...)
+	ok, err := reproduces(cur)
+	if err != nil {
+		return nil, fmt.Errorf("tso: minimize: schedule does not apply: %w", err)
+	}
+	if !ok {
+		return nil, errors.New("tso: minimize: schedule does not reproduce")
+	}
+	holds := func(cand []Decision) bool {
+		ok, err := reproduces(cand)
+		return err == nil && ok
+	}
+	lo, hi := 0, len(cur)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if holds(cur[:mid]) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	cur = cur[:lo]
+	for changed := true; changed; {
+		changed = false
+		for i := 0; i < len(cur); i++ {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			cand := make([]Decision, 0, len(cur)-1)
+			cand = append(cand, cur[:i]...)
+			cand = append(cand, cur[i+1:]...)
+			if holds(cand) {
+				cur = cand
+				changed = true
+				i--
+			}
+		}
+	}
+	return cur, nil
 }
 
 // VerifyErasure checks that the replayed execution is the erasure of the

@@ -34,7 +34,7 @@ func Example() {
 		fmt.Println(err)
 		return
 	}
-	min, err := engNF.Minimize(resNF.Schedule)
+	min, err := engNF.Minimize(context.Background(), resNF.Schedule)
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -29,14 +29,19 @@ type interpState struct {
 
 // AdaptLock binds p to mem as the lock name for n processes. It allocates
 // the program's variables in table order, each named prefix+var (e.g.
-// "bakery." + "number[3]"), so traces and reports name them per lock.
+// "bakery." + "number[3]"), so traces and reports name them per lock; a
+// variable of an owned array is local to its owner (Program.Owned).
 func AdaptLock(name, prefix string, p *Program, mem *tso.Memory, n int) (*Lock, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	vars := make([]*tso.Var, len(p.Vars))
 	for i, v := range p.Vars {
-		vars[i] = mem.NewVar(prefix + v)
+		if owner := p.Owner(i); owner >= 0 {
+			vars[i] = mem.NewOwned(prefix+v, tso.ProcID(owner))
+		} else {
+			vars[i] = mem.NewVar(prefix + v)
+		}
 	}
 	return &Lock{name: name, prog: p, vars: vars, procs: make([]interpState, n)}, nil
 }

@@ -74,6 +74,12 @@ func TestLoadMalformed(t *testing.T) {
 		{"bad class",
 			`{"name":"x","vars":["v"],"class":7,"code":[{"op":14},{"op":15}]}`,
 			"invalid adaptivity class"},
+		{"owned array out of range",
+			`{"name":"x","vars":["v"],"owned":[{"base":0,"len":2}],"code":[{"op":14},{"op":15}]}`,
+			"owned array 0"},
+		{"overlapping owned arrays",
+			`{"name":"x","vars":["v","w"],"owned":[{"base":0,"len":2},{"base":1,"len":1}],"code":[{"op":14},{"op":15}]}`,
+			"overlap"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

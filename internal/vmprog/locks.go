@@ -368,12 +368,13 @@ type Entry struct {
 }
 
 // Registry lists every registered VM program, sorted by name. For bakery,
-// bakery-weak, burnslynch, caschain, filter, peterson, peterson-nofence,
-// tas and ttas the program is also internal/mutex's lock (through
-// AdaptLock); anderson, clh, mcs, rtas, synthetic and tournament have
-// goroutine twins there (yanganderson is represented by the structurally
-// equivalent tournament tree). The rest of the RME tier and dekker,
-// lamportfast and their broken variants exist as VM programs only.
+// bakery-weak, burnslynch, caschain, filter, mcs, peterson,
+// peterson-nofence, rtas, tas, ttas and tournament (built at any n there)
+// the program is also internal/mutex's lock (through AdaptLock); anderson,
+// clh and synthetic have goroutine twins there (yanganderson is
+// represented by the structurally equivalent tournament tree). The rest of
+// the RME tier and dekker, lamportfast and their broken variants exist as
+// VM programs only.
 func Registry() []Entry {
 	return []Entry{
 		{Name: "anderson", Doc: "Anderson array queue lock (one-shot, CAS fetch-and-increment)",
@@ -419,7 +420,7 @@ func Registry() []Entry {
 		{Name: "tas", Doc: "test-and-set via CAS retry",
 			Build: func(int) (*Program, error) { return TAS() }},
 		{Name: "tournament", Doc: "binary tournament of Peterson locks (4 processes); restart-recoverable under the 2-crash adversary (decided verdict: 31,672,898 crash states, see check.TestTournamentVerdictDecided)",
-			Build: func(int) (*Program, error) { return Tournament4() }, FixedN: 4, Recoverable: true},
+			Build: func(int) (*Program, error) { return Tournament(4) }, FixedN: 4, Recoverable: true},
 		{Name: "ttas", Doc: "test-and-test-and-set via CAS retry",
 			Build: func(int) (*Program, error) { return TTAS() }},
 	}
@@ -436,14 +437,16 @@ func LookupEntry(name string) (Entry, error) {
 }
 
 // Lookup returns the VM program registered under name, instantiated for n
-// processes where the program is size-parametric.
+// processes. A fixed-size program (Entry.FixedN) supports only its own n;
+// any other n is an error, since an engine built at that n would run the
+// program outside its domain.
 func Lookup(name string, n int) (*Program, error) {
 	e, err := LookupEntry(name)
 	if err != nil {
 		return nil, err
 	}
-	if e.FixedN > 0 {
-		n = e.FixedN
+	if e.FixedN > 0 && n != e.FixedN {
+		return nil, fmt.Errorf("vmprog: %s supports only n=%d, not n=%d", name, e.FixedN, n)
 	}
 	return e.Build(n)
 }

@@ -2,6 +2,8 @@ package vmprog
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"priceadaptive/internal/tso"
@@ -70,5 +72,46 @@ func TestRegistryExclusion(t *testing.T) {
 				t.Fatalf("%s: exploration incomplete at %d states; raise budget", e.Name, res.States)
 			}
 		})
+	}
+}
+
+// TestLookupRejectsUnsupportedN pins that a fixed-size program is looked up
+// only at its own n: an engine built at any other n would run the program
+// outside its domain (peterson at n=3 indexes flag[-1]; tournament at n=6
+// would put three processes on one leaf).
+func TestLookupRejectsUnsupportedN(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		n, want int
+	}{{"peterson", 3, 2}, {"dekker", 1, 2}, {"tournament", 6, 4}} {
+		if _, err := Lookup(tc.name, tc.n); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("only n=%d", tc.want)) {
+			t.Errorf("Lookup(%s, %d): %v, want an error naming n=%d", tc.name, tc.n, err, tc.want)
+		}
+		if _, err := Lookup(tc.name, tc.want); err != nil {
+			t.Errorf("Lookup(%s, %d): %v", tc.name, tc.want, err)
+		}
+	}
+}
+
+// TestTournamentSizes model-checks the size-parametric tournament off the
+// registry's n=4, on trees with an unused leaf (n=3) and with one level
+// (n=2): no schedule violates exclusion, and the exploration completes.
+func TestTournamentSizes(t *testing.T) {
+	for _, n := range []int{1, 2, 3} {
+		p, err := Tournament(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewEngineOrdering(p, n, tso.TSO)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Check(context.Background(), ParallelOpts{MaxStates: 1 << 22})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Violation || !res.Complete {
+			t.Fatalf("tournament n=%d: violation=%v complete=%v after %d states", n, res.Violation, res.Complete, res.States)
+		}
 	}
 }

@@ -4,11 +4,11 @@ import "fmt"
 
 // This file holds the VM programs of the rest of the lock zoo, so that the
 // static analyzer (internal/analysis, cmd/padlint) and the fast
-// model-checking engine cover all of it; ttas, caschain, burnslynch and
-// filter are also internal/mutex's definitions of those locks. Every
-// program encodes one passage (entry protocol, CS, exit protocol);
-// queue-based locks are one-shot, matching the one-time mutual exclusion
-// setting of the paper's lower bound.
+// model-checking engine cover all of it; ttas, caschain, mcs, burnslynch,
+// filter and tournament are also internal/mutex's definitions of those
+// locks. Every program encodes one passage (entry protocol, CS, exit
+// protocol); the anderson and clh queue locks are one-shot, matching the
+// one-time mutual exclusion setting of the paper's lower bound.
 
 // TTAS builds a test-and-test-and-set lock: spin on a plain read, attempt
 // the CAS only when the lock looks free, so an acquisition attempt costs
@@ -76,15 +76,19 @@ func CASChain(n int) (*Program, error) {
 	return b.Build()
 }
 
-// MCS builds the Mellor-Crummey-Scott queue lock (one-shot): append to the
-// queue by a CAS-emulated swap of the tail, spin on the process's own
-// locked flag, and hand the lock to the linked successor on exit.
+// MCS builds the Mellor-Crummey-Scott queue lock: append to the queue by a
+// CAS-emulated swap of the tail, spin on the process's own locked flag, and
+// hand the lock to the linked successor on exit. A passage costs O(1) RMRs
+// under cache coherence, and under DSM too, since locked[me] is local to
+// its spinner; every CAS pays a fence. Each passage re-initializes the
+// process's node, so on the goroutine simulator the lock serves any number
+// of passages.
 func MCS(n int) (*Program, error) {
 	b := NewBuilder("mcs-vm")
 	b.SetClass(ClassNonAdaptive)
 	tail := b.Var("tail")
 	next := b.Array("next", n)
-	locked := b.Array("locked", n)
+	locked := b.OwnedArray("locked", n) // each process spins on its own flag
 	const (
 		rMe, rOne, rMe1, rZero, rPred, rObs, rIdx, rTmp = 0, 1, 2, 3, 4, 5, 6, 7
 	)
@@ -301,91 +305,103 @@ func Filter(n int) (*Program, error) {
 	return b.Build()
 }
 
-// Tournament4 builds the binary tournament of Peterson locks for exactly 4
-// processes: two levels of two-process competitions, heap-indexed nodes
-// (root 1; leaves of process p sit under node 2+p/2). Per-node flags live
-// in one array indexed by 2*node+role. The VM has no shift instruction, so
-// the per-level (node, flag index, opponent role) constants come from a
-// branch table on the process ID.
-func Tournament4() (*Program, error) {
+// Tournament builds the binary tournament of Peterson locks for n >= 1
+// processes, in the style of Yang and Anderson's tournament mutex: each
+// process climbs ceil(log2 n) levels from its leaf to the root, competing
+// at each internal node against the process arriving from the sibling
+// subtree, so both the RMR and the fence complexity of a passage are
+// Θ(log N), independent of contention - the classic non-adaptive O(log N)
+// point that Attiya, Hendler and Levy later improved to O(1) fences. The
+// exit releases the nodes top-down, so a competitor waiting at a higher
+// node proceeds before lower nodes reopen.
+//
+// The tree has L = 2^ceil(log2 n) leaves and heap-indexed nodes (root 1).
+// Per-node flags live in one array indexed by 2*node+role, role 0 being the
+// competitor from the left subtree. At level l (1 = just above the leaves)
+// a process's flag index is fi = (L+me)>>(l-1), its rival's fi^1, the node
+// fi>>1 and the rival's role 1-(fi&1). The VM has no shift instruction, but
+// these are constants per process, so each level opens with a dispatch on
+// the process ID that loads them.
+func Tournament(n int) (*Program, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("vmprog: tournament requires n >= 1, got %d", n)
+	}
+	leaves, levels := 1, 0
+	for leaves < n {
+		leaves *= 2
+		levels++
+	}
 	b := NewBuilder("tournament-vm")
 	b.SetClass(ClassNonAdaptive)
-	flag := b.Array("flag", 8) // flag[2*node+role], nodes 1..3
-	turn := b.Array("turn", 4) // turn[node], nodes 1..3
+	flag := b.Array("flag", 2*leaves) // flag[2*node+role], nodes 1..L-1
+	turn := b.Array("turn", leaves)   // turn[node], nodes 1..L-1
 	const (
 		rMe, rOne, rZero, rTmp, rNode, rFi, rOi, rOth = 0, 1, 2, 3, 4, 5, 6, 7
 	)
+	// dispatch loads the level-l flag index and, for a competition, the
+	// node, the rival's flag index and the rival's role. Level l groups
+	// the processes by w = 2^(l-1) consecutive IDs; group g's flag index
+	// is L/w + g. The last group is the fall-through case.
+	dispatch := func(l int, compete bool) {
+		w := 1 << (l - 1)
+		groups := (n + w - 1) / w
+		load := func(g int) {
+			fi := leaves/w + g
+			if compete {
+				b.Const(rNode, uint64(fi>>1))
+			}
+			b.Const(rFi, uint64(fi))
+			if compete {
+				b.Const(rOi, uint64(fi^1))
+				b.Const(rOth, uint64(1-(fi&1)))
+			}
+		}
+		stage := "exit"
+		if compete {
+			stage = "entry"
+		}
+		label := func(g int) string { return fmt.Sprintf("%s%dg%d", stage, l, g) }
+		done := fmt.Sprintf("%s%d", stage, l)
+		for g := 0; g < groups-1; g++ {
+			b.Const(rTmp, uint64((g+1)*w))
+			b.JumpIfLt(rMe, rTmp, label(g))
+		}
+		load(groups - 1)
+		for g := 0; g < groups-1; g++ {
+			b.Jump(done)
+			b.Label(label(g))
+			load(g)
+		}
+		b.Label(done)
+	}
 	b.Me(rMe)
 	b.Const(rOne, 1)
 	b.Const(rZero, 0)
-	// Level-1 constants: node, own flag index fi=2*node+role=4+me,
-	// opponent flag index oi, opponent role oth.
-	b.Const(rTmp, 1)
-	b.JumpIfLt(rMe, rTmp, "m0") // me == 0
-	b.JumpIfEq(rMe, rTmp, "m1")
-	b.Const(rTmp, 2)
-	b.JumpIfEq(rMe, rTmp, "m2")
-	b.Const(rNode, 3) // me == 3
-	b.Const(rFi, 7)
-	b.Const(rOi, 6)
-	b.Const(rOth, 0)
-	b.Jump("l1")
-	b.Label("m0")
-	b.Const(rNode, 2)
-	b.Const(rFi, 4)
-	b.Const(rOi, 5)
-	b.Const(rOth, 1)
-	b.Jump("l1")
-	b.Label("m1")
-	b.Const(rNode, 2)
-	b.Const(rFi, 5)
-	b.Const(rOi, 4)
-	b.Const(rOth, 0)
-	b.Jump("l1")
-	b.Label("m2")
-	b.Const(rNode, 3)
-	b.Const(rFi, 6)
-	b.Const(rOi, 7)
-	b.Const(rOth, 1)
-	b.Label("l1")
-	b.Write(flag, rFi, rOne)
-	b.Write(turn, rNode, rOth)
-	b.Fence()
-	b.Label("spin1")
-	b.Read(rTmp, flag, rOi)
-	b.JumpIfNe(rTmp, rOne, "l1done")
-	b.Read(rTmp, turn, rNode)
-	b.JumpIfEq(rTmp, rOth, "spin1")
-	b.Label("l1done")
-	// Level-2 (root) constants: role = me/2, fi = 2+role.
-	b.Const(rTmp, 2)
-	b.JumpIfLt(rMe, rTmp, "low")
-	b.Const(rFi, 3)
-	b.Const(rOi, 2)
-	b.Const(rOth, 0)
-	b.Jump("l2")
-	b.Label("low")
-	b.Const(rFi, 2)
-	b.Const(rOi, 3)
-	b.Const(rOth, 1)
-	b.Label("l2")
-	b.Const(rNode, 1)
-	b.Write(flag, rFi, rOne)
-	b.Write(turn, rNode, rOth)
-	b.Fence()
-	b.Label("spin2")
-	b.Read(rTmp, flag, rOi)
-	b.JumpIfNe(rTmp, rOne, "cs")
-	b.Read(rTmp, turn, rNode)
-	b.JumpIfEq(rTmp, rOth, "spin2")
-	b.Label("cs")
+	for l := 1; l <= levels; l++ {
+		dispatch(l, true)
+		b.Write(flag, rFi, rOne)
+		b.Write(turn, rNode, rOth)
+		b.Fence()
+		spin, won := fmt.Sprintf("spin%d", l), fmt.Sprintf("won%d", l)
+		b.Label(spin)
+		b.Read(rTmp, flag, rOi)
+		b.JumpIfNe(rTmp, rOne, won)
+		b.Read(rTmp, turn, rNode)
+		b.JumpIfEq(rTmp, rOth, spin)
+		b.Label(won)
+	}
 	b.CS()
-	// Release top-down: root flag (still in rFi), then the leaf-level
-	// flag, whose index is simply 4+me.
-	b.Write(flag, rFi, rZero)
-	b.Const(rTmp, 4)
-	b.Add(rFi, rMe, rTmp)
-	b.Write(flag, rFi, rZero)
+	for l := levels; l >= 1; l-- {
+		switch {
+		case l == levels: // the root's flag index is still in rFi
+		case l == 1: // fi = L + me
+			b.Const(rTmp, uint64(leaves))
+			b.Add(rFi, rMe, rTmp)
+		default:
+			dispatch(l, false)
+		}
+		b.Write(flag, rFi, rZero)
+	}
 	b.Fence()
 	b.Halt()
 	return b.Build()

@@ -15,12 +15,14 @@ package vmprog
 // buffered writes are reserved for state whose loss is harmless. The
 // deliberately broken variant (RTASDirty) violates exactly this rule.
 
-// RTAS ports the Golab-Ramaraju recoverable test-and-set lock (the VM
-// twin of internal/mutex's rtas): the lock word holds owner id+1 and is
-// only ever changed by CAS. Recovery reads the lock word; finding its own
-// stamp means the crash hit while holding (or after winning) the lock, so
-// the passage rolls forward into the CS; anything else rolls back to the
-// acquire loop.
+// RTAS ports the Golab-Ramaraju recoverable test-and-set lock (also
+// internal/mutex's rtas): the lock word holds owner id+1 and is only ever
+// changed by CAS, so a crash never loses ownership state in the write
+// buffer. Recovery reads the lock word; finding its own stamp means the
+// crash hit while holding (or after winning) the lock, so the passage
+// rolls forward into the CS; anything else rolls back to the acquire loop.
+// Plain TAS, whose anonymous lock word cannot tell "I hold it" from
+// "someone holds it", spins forever on its own stamp instead.
 func RTAS() (*Program, error) {
 	b := NewBuilder("rtas-vm")
 	b.SetClass(ClassAdaptive)

@@ -4,7 +4,7 @@
 //
 //   - the goroutine-based tso.Simulator (via Lock, behind AdaptLock and
 //     Adapt), reusing every tool in the repository - schedulers, RMR
-//     accounting, the lower-bound construction. Nine internal/mutex locks
+//     accounting, the lower-bound construction. Twelve internal/mutex locks
 //     are defined this way, as programs of this package;
 //   - a fast engine (Engine) whose entire process state (program counter,
 //     registers, write buffer) is a flat value that can be cloned in O(1)
@@ -133,6 +133,29 @@ type Program struct {
 	// critical-section path when the process finds it still holds the
 	// lock) and shares the single OpCS.
 	Recover int `json:"recover,omitempty"`
+	// Owned lists the arrays declared by Builder.OwnedArray. Element i of
+	// each is local to process i under DSM, as tso.Memory.NewOwnedArray
+	// allocates it: AdaptLock allocates it so, and rme.ReplayRMR prices its
+	// owner's accesses as local. Ownership changes no transition, only
+	// what an access costs.
+	Owned []Span `json:"owned,omitempty"`
+}
+
+// Span is a run of Len consecutive variables starting at Base.
+type Span struct {
+	Base int `json:"base"`
+	Len  int `json:"len"`
+}
+
+// Owner returns the process that variable v is local to under DSM, or -1
+// when it is remote to every process.
+func (p *Program) Owner(v int) int {
+	for _, s := range p.Owned {
+		if v >= s.Base && v < s.Base+s.Len {
+			return v - s.Base
+		}
+	}
+	return -1
 }
 
 // eventOp reports whether an opcode is a shared-memory event.
@@ -185,6 +208,16 @@ func (p *Program) Validate() error {
 	if p.Recover < 0 || p.Recover >= len(p.Code) {
 		return fmt.Errorf("vmprog %s: recover entry %d out of range [0,%d)", p.Name, p.Recover, len(p.Code))
 	}
+	for i, s := range p.Owned {
+		if s.Base < 0 || s.Len < 1 || s.Base+s.Len > len(p.Vars) {
+			return fmt.Errorf("vmprog %s: owned array %d (base %d, len %d) out of range [0,%d)", p.Name, i, s.Base, s.Len, len(p.Vars))
+		}
+		for _, t := range p.Owned[:i] {
+			if s.Base < t.Base+t.Len && t.Base < s.Base+s.Len {
+				return fmt.Errorf("vmprog %s: owned arrays at %d and %d overlap", p.Name, t.Base, s.Base)
+			}
+		}
+	}
 	return nil
 }
 
@@ -219,6 +252,7 @@ type Builder struct {
 	fixups  map[int]string
 	class   AdaptivityClass
 	recover string // label of the recover-section entry, "" for none
+	owned   []Span
 	err     error
 }
 
@@ -243,6 +277,14 @@ func (b *Builder) Array(name string, n int) int {
 	for i := 0; i < n; i++ {
 		b.vars = append(b.vars, name+"["+strconv.Itoa(i)+"]")
 	}
+	return base
+}
+
+// OwnedArray is Array for an array whose element i is local to process i
+// under DSM (see Program.Owned).
+func (b *Builder) OwnedArray(name string, n int) int {
+	base := b.Array(name, n)
+	b.owned = append(b.owned, Span{Base: base, Len: n})
 	return base
 }
 
@@ -339,7 +381,8 @@ func (b *Builder) Build() (*Program, error) {
 		}
 		code[pos].Target = target
 	}
-	p := &Program{Name: b.name, Vars: append([]string(nil), b.vars...), Code: code, Class: b.class}
+	p := &Program{Name: b.name, Vars: append([]string(nil), b.vars...), Code: code, Class: b.class,
+		Owned: append([]Span(nil), b.owned...)}
 	if b.recover != "" {
 		rec, ok := b.labels[b.recover]
 		if !ok {

@@ -495,7 +495,7 @@ func TestFastMinimize(t *testing.T) {
 	if err != nil || !res.Violation {
 		t.Fatalf("no violation: %v", err)
 	}
-	min, err := eng.Minimize(res.Schedule)
+	min, err := eng.Minimize(context.Background(), res.Schedule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +524,7 @@ func TestFastMinimize(t *testing.T) {
 			t.Fatalf("not 1-minimal at %d", i)
 		}
 	}
-	if _, err := eng.Minimize(nil); err == nil {
+	if _, err := eng.Minimize(context.Background(), nil); err == nil {
 		t.Error("non-violating schedule must be rejected")
 	}
 	t.Logf("minimized %d -> %d", len(res.Schedule), len(min))
