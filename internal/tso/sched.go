@@ -73,7 +73,8 @@ func (s *Simulator) allDone() bool {
 // RoundRobin schedules processes cyclically, always letting the chosen
 // process execute its next event (commits happen only inside fences). Writes
 // therefore stay buffered as long as possible - the maximally weak TSO
-// behaviour.
+// behaviour. The policy covers done processes too: writes a process left
+// buffered when its program ended are never committed.
 type RoundRobin struct {
 	next ProcID
 }
@@ -94,10 +95,13 @@ func (r *RoundRobin) Next(s *Simulator) (ProcID, bool, bool) {
 	return 0, false, false
 }
 
-// Random schedules uniformly random runnable processes. With probability
+// Random schedules uniformly random candidates: the processes that are not
+// done, and the done ones that still hold buffered writes. With probability
 // CommitProb it commits a buffered write of the chosen process instead of
 // letting it execute; higher values approximate stronger memory models,
-// lower values stress TSO reordering.
+// lower values stress TSO reordering. A chosen done process always commits,
+// so a write left buffered at the end of a program, such as an unfenced
+// release, eventually becomes visible.
 type Random struct {
 	rng        *rand.Rand
 	CommitProb float64
@@ -117,26 +121,38 @@ func NewRandom(seed int64, commitProb float64) *Random {
 
 // Next implements Scheduler.
 func (r *Random) Next(s *Simulator) (ProcID, bool, bool) {
-	n := s.Config().N
-	runnable := make([]ProcID, 0, n)
-	for i := 0; i < n; i++ {
-		if !s.Done(ProcID(i)) {
-			runnable = append(runnable, ProcID(i))
-		}
-	}
-	if len(runnable) == 0 {
+	cands := candidates(s)
+	if len(cands) == 0 {
 		return 0, false, false
 	}
-	id := runnable[r.rng.Intn(len(runnable))]
+	id := cands[r.rng.Intn(len(cands))]
+	if s.Done(id) {
+		return id, true, true
+	}
 	if r.CommitProb > 0 && s.BufferSize(id) > 0 && r.rng.Float64() < r.CommitProb {
 		return id, true, true
 	}
 	return id, false, true
 }
 
+// candidates lists, in ID order, the processes a random scheduler picks
+// from: every process that is not done, and every done process whose write
+// buffer is not empty, which may only commit.
+func candidates(s *Simulator) []ProcID {
+	n := s.Config().N
+	out := make([]ProcID, 0, n)
+	for i := 0; i < n; i++ {
+		if id := ProcID(i); !s.Done(id) || s.BufferSize(id) > 0 {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
 // RandomPSO is a Random scheduler that additionally exploits PSO's freedom
 // to commit buffered writes out of issue order: commit decisions pick a
-// uniformly random buffered variable. It drives the simulator itself via
+// uniformly random buffered variable. Like Random it picks done processes
+// that hold buffered writes, only to commit. It drives the simulator itself via
 // RunPSO because the Scheduler interface's decisions cannot carry a variable
 // choice.
 type RandomPSO struct {
@@ -165,16 +181,10 @@ func (r *RandomPSO) Run(s *Simulator, maxSteps int) (RunResult, error) {
 			res.Violation = s.ExclusionViolation()
 			return res, nil
 		}
-		n := s.Config().N
-		runnable := make([]ProcID, 0, n)
-		for i := 0; i < n; i++ {
-			if !s.Done(ProcID(i)) {
-				runnable = append(runnable, ProcID(i))
-			}
-		}
-		id := runnable[r.rng.Intn(len(runnable))]
+		cands := candidates(s)
+		id := cands[r.rng.Intn(len(cands))]
 		var err error
-		if bufd := s.BufferedVars(id); len(bufd) > 0 && s.ModeOf(id) == ModeRead && r.rng.Float64() < r.commitProb {
+		if bufd := s.BufferedVars(id); len(bufd) > 0 && (s.Done(id) || s.ModeOf(id) == ModeRead && r.rng.Float64() < r.commitProb) {
 			_, err = s.CommitVar(id, bufd[r.rng.Intn(len(bufd))])
 		} else {
 			_, err = s.Step(id)

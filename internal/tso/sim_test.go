@@ -624,6 +624,36 @@ func TestPanicIsNotCompleted(t *testing.T) {
 	}
 }
 
+// TestRandomSchedulersCommitDoneBuffers pins that the random schedulers
+// commit the writes a process left buffered when its program ended: p0's
+// unfenced write is the only way out of p1's spin, and with commit
+// probability 0 only a done-process commit can make it visible.
+func TestRandomSchedulersCommitDoneBuffers(t *testing.T) {
+	build := func(sim *Simulator) (Program, error) {
+		v := sim.Memory().NewVar("x")
+		return func(p *Proc) {
+			if p.ID() == 0 {
+				p.CS()
+				p.Write(v, 1)
+				return
+			}
+			for p.Read(v) == 0 {
+			}
+			p.CS()
+		}, nil
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		s := mustSim(t, Config{N: 2}, build)
+		if res, err := Run(s, NewRandom(seed, 0), 10_000); err != nil || !res.Completed {
+			t.Fatalf("Random seed %d: err=%v completed=%t", seed, err, res.Completed)
+		}
+		s = mustSim(t, Config{N: 2}, build)
+		if res, err := NewRandomPSO(seed, 0).Run(s, 10_000); err != nil || !res.Completed {
+			t.Fatalf("RandomPSO seed %d: err=%v completed=%t", seed, err, res.Completed)
+		}
+	}
+}
+
 func TestKillStopsParkedGoroutines(t *testing.T) {
 	s, err := NewSimulator(Config{N: 4}, func(sim *Simulator) (Program, error) {
 		v := sim.Memory().NewVar("x")
