@@ -83,7 +83,8 @@ func classify(eng *vmprog.Engine, st *vmprog.State, lines *ccLines, d Decision) 
 			if mi > 0 {
 				line = lines[mi-1][ev.Var*n : (ev.Var+1)*n]
 			}
-			// Every vmprog variable is DSM-remote (tso.Memory.NewVar).
+			// Every access is charged as DSM-remote, those of an owned
+			// array's owner too (Program.Owned): an over-count for them.
 			ev.RMR[mi] = rmr.Classify(model, k, ev.P, true, line)
 		}
 	}

@@ -131,8 +131,9 @@ func LoadFile(path string) ([]*Program, error) {
 
 // Hash returns a hex SHA-256 fingerprint of the program's canonical JSON
 // form. It keys lint caches: two programs hash equal exactly when their
-// observable structure (name, variable table, code, declared class) is
-// identical, so a cached analysis served by hash can never be stale.
+// observable structure (name, variable table, code, declared class, owned
+// arrays) is identical, so a cached analysis served by hash can never be
+// stale.
 func (p *Program) Hash() (string, error) {
 	data, err := json.Marshal(p)
 	if err != nil {
