@@ -48,7 +48,7 @@ import (
 // analyzerVersion participates in cache identity: bump it whenever either
 // analyzer's output for an unchanged program can change, so stale cached
 // results are never served for new analyzer code.
-const analyzerVersion = "3"
+const analyzerVersion = "4"
 
 // cacheKind names the cached artifact in the jobs store.
 const cacheKind = "padlint-program"

@@ -4,6 +4,9 @@ import (
 	"context"
 	"testing"
 
+	"priceadaptive/internal/rme"
+	"priceadaptive/internal/rmr"
+	"priceadaptive/internal/tso"
 	"priceadaptive/internal/vmprog"
 )
 
@@ -70,7 +73,8 @@ func TestStaticExpectations(t *testing.T) {
 		{"filter", "[1,1]", "[1,1]", "[2,2]", 4},
 		{"tournament", "[2,2]", "[1,1]", "[3,3]", 8},
 		{"tas", "[1,inf]", "[1,1]", "[2,inf]", 2},
-		{"mcs", "[1,inf]", "[1,2]", "[2,inf]", 6},
+		// locked is owned: an access that may reach it may be local.
+		{"mcs", "[1,inf]", "[1,2]", "[2,inf]", 4},
 		{"dekker-nofence", "[0,0]", "[0,0]", "[0,0]", 0},
 		{"peterson-nofence", "[0,0]", "[0,0]", "[0,0]", 0},
 		{"synthetic-nofence", "[0,0]", "[0,0]", "[0,0]", 0},
@@ -145,7 +149,9 @@ func TestBrokenVariantsNameViolatedBound(t *testing.T) {
 // every registry lock, every per-passage count observed by exhaustive
 // exploration of the fast engine must lie inside the static intervals,
 // and the emitted witness must replay to its claimed event sequence
-// (Analyze internally replays and containment-checks the witness).
+// (Analyze internally replays and containment-checks the witness). The
+// witness's RMR counts must also be what rme.ReplayRMR, which prices an
+// owned array's element as local to its owner, charges its schedule.
 func TestDifferentialRegistry(t *testing.T) {
 	budget := 400000
 	if testing.Short() {
@@ -173,10 +179,29 @@ func TestDifferentialRegistry(t *testing.T) {
 			if err := obs.CheckAgainst(res); err != nil {
 				t.Errorf("differential: %v", err)
 			}
-			if res.Witness == nil {
-				t.Error("no solo witness")
-			} else if err := res.Witness.Replay(p); err != nil {
+			w := res.Witness
+			if w == nil {
+				t.Fatal("no solo witness")
+			}
+			if err := w.Replay(p); err != nil {
 				t.Errorf("witness replay: %v", err)
+			}
+			eng, err := vmprog.NewEngineOrdering(p, n, tso.TSO)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sched := make([]tso.Decision, len(w.Schedule))
+			for i, d := range w.Schedule {
+				sched[i] = d.tso()
+			}
+			for mi, model := range rmr.Models() {
+				rr, err := rme.ReplayRMR(eng, sched, model)
+				if err != nil {
+					t.Fatalf("%v replay: %v", model, err)
+				}
+				if got := rr.Passages[w.Proc][0].RMRs; got != w.Counts.RMR[mi] {
+					t.Errorf("%v: witness claims %d RMRs, rme.ReplayRMR charges %d", model, w.Counts.RMR[mi], got)
+				}
 			}
 		})
 	}

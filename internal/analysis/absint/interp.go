@@ -370,7 +370,18 @@ const (
 // access; writes charge their eventual commit, which is guaranteed to
 // land inside the passage only when every path onward serializes before
 // reaching a halt without an intervening write that could coalesce).
+// An access whose footprint may reach an owned variable takes its lower
+// bound from the local charge: its owner's access is DSM-local.
 func (it *interp) weights() [][numMetrics]Interval {
+	// bounds is rmr.ChargeBounds for an access to footprint f.
+	bounds := func(model rmr.CacheModel, k rmr.AccessKind, f footprint) (lo, hi int) {
+		lo, hi = rmr.ChargeBounds(model, k, true)
+		if it.mayOwn(f) {
+			lLo, _ := rmr.ChargeBounds(model, k, false)
+			lo = minInt(lo, lLo)
+		}
+		return lo, hi
+	}
 	w := make([][numMetrics]Interval, len(it.p.Code))
 	for pc, in := range it.p.Code {
 		s := it.state[pc]
@@ -382,9 +393,10 @@ func (it *interp) weights() [][numMetrics]Interval {
 			w[pc][mFence] = Interval{1, 1}
 		case vmprog.OpCAS:
 			w[pc][mFence] = Interval{1, 1}
+			f := it.resolve(in, s)
 			for mi, model := range rmr.Models() {
-				sLo, sHi := rmr.ChargeBounds(model, rmr.AccessCASSuccess, true)
-				fLo, fHi := rmr.ChargeBounds(model, rmr.AccessCASFail, true)
+				sLo, sHi := bounds(model, rmr.AccessCASSuccess, f)
+				fLo, fHi := bounds(model, rmr.AccessCASFail, f)
 				w[pc][mDSM+mi] = Interval{minInt(sLo, fLo), maxInt(sHi, fHi)}
 			}
 		case vmprog.OpRead:
@@ -395,7 +407,7 @@ func (it *interp) weights() [][numMetrics]Interval {
 			forwarded := f.singleton && s.must.has(f.lo)
 			mayForward := f.vars.intersects(s.may)
 			for mi, model := range rmr.Models() {
-				lo, hi := rmr.ChargeBounds(model, rmr.AccessRead, true)
+				lo, hi := bounds(model, rmr.AccessRead, f)
 				switch {
 				case forwarded:
 					lo, hi = 0, 0
@@ -411,7 +423,7 @@ func (it *interp) weights() [][numMetrics]Interval {
 			}
 			committed := it.mustCommit(pc, f)
 			for mi, model := range rmr.Models() {
-				lo, hi := rmr.ChargeBounds(model, rmr.AccessWriteCommit, true)
+				lo, hi := bounds(model, rmr.AccessWriteCommit, f)
 				if !committed {
 					lo = 0
 				}
@@ -420,6 +432,20 @@ func (it *interp) weights() [][numMetrics]Interval {
 		}
 	}
 	return w
+}
+
+// mayOwn reports whether footprint f may reach a variable of an owned
+// array (Program.Owned).
+func (it *interp) mayOwn(f footprint) bool {
+	if f.mustErr {
+		return false
+	}
+	for _, o := range it.p.Owned {
+		if f.lo < o.Base+o.Len && o.Base <= f.hi {
+			return true
+		}
+	}
+	return false
 }
 
 func maxInt(a, b int) int {

@@ -78,14 +78,15 @@ func classify(eng *vmprog.Engine, st *vmprog.State, lines *ccLines, d Decision) 
 	p := &st.Procs[d.P]
 	ev := TraceEvent{P: d.P, PC: p.PC, Var: -1}
 	charge := func(k rmr.AccessKind) {
+		// An owned array's element is DSM-local to its owner
+		// (Program.Owned), as rme.ReplayRMR prices it.
+		remote := eng.Program().Owner(ev.Var) != ev.P
 		for mi, model := range rmr.Models() {
 			var line []rmr.Mode
 			if mi > 0 {
 				line = lines[mi-1][ev.Var*n : (ev.Var+1)*n]
 			}
-			// Every access is charged as DSM-remote, those of an owned
-			// array's owner too (Program.Owned): an over-count for them.
-			ev.RMR[mi] = rmr.Classify(model, k, ev.P, true, line)
+			ev.RMR[mi] = rmr.Classify(model, k, ev.P, remote, line)
 		}
 	}
 	switch {

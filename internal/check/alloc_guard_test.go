@@ -28,10 +28,13 @@ func heapAllocs() (objects, bytes uint64) {
 // TestFrontierAllocationGuard holds the frontier engines' successor paths to
 // their allocation budgets: a fully reduced check makes at most one heap
 // allocation per transition, and allocates at most a row's byte budget per
-// transition. Successors are applied to worker scratch, canonicalized
-// straight into their flat encoding and copied into a shard arena only when
-// new, so the allocations left are the growth of the seen-sets, queues,
-// arenas, breadcrumb columns and edge records and the per-layer set-up. It
+// transition. Each successor is a patch of its parent: the decision is
+// applied to the worker's decoded parent in place, the successor's flat
+// encoding is spliced from the parent's and canonicalized in place, the
+// decision is undone, and the encoding is copied into a shard arena only
+// when new. So the allocations left are the growth of the seen-sets,
+// queues, arenas, breadcrumb columns and edge records and the per-layer
+// set-up. It
 // counts allocations, not time, so a loaded host cannot make it flaky.
 // tournament is the asymmetric path (Lookup builds its fixed four-leaf tree;
 // three processes contend in it) and mcs the symmetric one, canonicalized

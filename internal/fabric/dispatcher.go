@@ -267,10 +267,11 @@ func (d *Dispatcher) Sweep() {
 			continue
 		}
 		d.m.leaseExpiries.Inc()
-		if n := d.nodes[j.node]; n != nil {
+		node := j.node // releaseLocked clears it
+		if n := d.nodes[node]; n != nil {
 			d.releaseLocked(n, id)
 		}
-		d.requeueLocked(id, fmt.Sprintf("lease expired on node %s", j.node))
+		d.requeueLocked(id, fmt.Sprintf("lease expired on node %s", node))
 	}
 	d.placeLocked()
 }

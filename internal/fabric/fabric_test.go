@@ -137,6 +137,11 @@ func TestLeaseExpiryReassignment(t *testing.T) {
 	if got.State != jobs.StateRunning || got.Attempts != 2 {
 		t.Fatalf("after recycle: state=%s attempts=%d, want running/2", got.State, got.Attempts)
 	}
+	// The reason names the node whose lease expired, and re-placement keeps
+	// it.
+	if want := "lease expired on node a"; got.Error != want {
+		t.Fatalf("after recycle: error %q, want %q", got.Error, want)
+	}
 	pr, err = d.Pull(PullRequest{Node: "a", Max: 1})
 	if err != nil || len(pr.Assignments) != 1 || pr.Assignments[0].ID != st.ID {
 		t.Fatalf("recycled pull: %v, %+v", err, pr.Assignments)

@@ -12,6 +12,8 @@ import (
 	"priceadaptive/internal/vmprog"
 )
 
+func init() { vmprog.SetTestFacts(por.Facts) }
+
 // symEngine builds an engine for the registry program name at n processes
 // with its reduction facts installed.
 func symEngine(tb testing.TB, name string, n int) *vmprog.Engine {
@@ -32,28 +34,6 @@ func symEngine(tb testing.TB, name string, n int) *vmprog.Engine {
 		tb.Fatal(err)
 	}
 	return eng
-}
-
-// bfsStates returns up to limit states of eng's unreduced state graph under
-// crash, in breadth-first order from the initial state. Decisions whose
-// Apply fails are skipped.
-func bfsStates(eng *vmprog.Engine, crash vmprog.CrashOpts, limit int) []*vmprog.State {
-	root := eng.Initial()
-	seen := map[uint64]bool{eng.Hash(root): true}
-	states := []*vmprog.State{root}
-	for i := 0; i < len(states) && len(states) < limit; i++ {
-		for _, d := range eng.EnabledDecisions(states[i], crash) {
-			c := states[i].Clone()
-			if eng.Apply(c, d) != nil {
-				continue
-			}
-			if h := eng.Hash(c); !seen[h] {
-				seen[h] = true
-				states = append(states, c)
-			}
-		}
-	}
-	return states
 }
 
 // TestCanonEncodeMatchesBruteForce holds the canonicalizer to its
@@ -79,7 +59,7 @@ func TestCanonEncodeMatchesBruteForce(t *testing.T) {
 			}
 			t.Run(fmt.Sprintf("%s/n=%d", ent.Name, n), func(t *testing.T) {
 				var got, img, want []uint64
-				for _, s := range bfsStates(eng, crash, limit) {
+				for _, s := range vmprog.BFSStates(eng, crash, limit) {
 					var gi int
 					got, gi = vmprog.CanonEncode(eng, got[:0], s)
 					wi := 0

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"priceadaptive/internal/tso"
 )
@@ -58,8 +59,10 @@ type State struct {
 
 // Clone returns a deep copy.
 func (s *State) Clone() *State {
-	ns := &State{}
-	copyState(ns, s)
+	ns := &State{Mem: slices.Clone(s.Mem), Procs: slices.Clone(s.Procs), Crashes: s.Crashes}
+	for i := range ns.Procs {
+		ns.Procs[i].Buf = slices.Clone(ns.Procs[i].Buf)
+	}
 	return ns
 }
 
@@ -484,7 +487,9 @@ func (e *Engine) AllDone(s *State) bool {
 }
 
 // Apply executes a tso.Decision on the state, for replaying schedules
-// recorded against the goroutine engine.
+// recorded against the goroutine engine. A decision changes only s.Mem,
+// s.Procs[d.P] and s.Crashes: the frontier engines' expander builds every
+// successor's encoding from its parent's on that invariant.
 func (e *Engine) Apply(s *State, d tso.Decision) error {
 	if d.Crash {
 		return e.Crash(s, int(d.P))

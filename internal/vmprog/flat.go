@@ -55,6 +55,10 @@ func pflags(p *PState) uint64 {
 	return flags
 }
 
+// bufAt is where a process's buffer length sits among its fields in the
+// flat encoding: after the flags word and the registers.
+const bufAt = 1 + NumRegs
+
 // encode appends the flat encoding of s to dst.
 func encode(dst []uint64, s *State) []uint64 { return encodeLive(dst, s, nil) }
 
@@ -64,21 +68,30 @@ func encode(dst []uint64, s *State) []uint64 { return encodeLive(dst, s, nil) }
 func encodeLive(dst []uint64, s *State, live []uint16) []uint64 {
 	dst = append(dst, s.Mem...)
 	for i := range s.Procs {
-		p := &s.Procs[i]
-		dst = append(dst, pflags(p))
-		regs := len(dst)
-		dst = append(dst, p.Regs[:]...)
-		if live != nil {
-			for reg, m := 0, live[p.PC]; reg < NumRegs; reg++ {
-				if m&(1<<reg) == 0 {
-					dst[regs+reg] = 0
-				}
+		dst = encodeProc(dst, &s.Procs[i], live)
+	}
+	return dst
+}
+
+// encodeProc appends the fields of process p to dst: its flags word, its
+// registers, with those that live (nil: all live) marks dead at p's PC read
+// as zero, its buffer length and its buffered writes.
+func encodeProc(dst []uint64, p *PState, live []uint16) []uint64 {
+	k := len(dst)
+	dst = slices.Grow(dst, bufAt+1+2*len(p.Buf))[:k+bufAt+1]
+	dst[k] = pflags(p)
+	regs := (*[NumRegs]uint64)(dst[k+1 : k+bufAt])
+	*regs = p.Regs
+	if live != nil {
+		for reg, m := 0, live[p.PC]; reg < NumRegs; reg++ {
+			if m&(1<<reg) == 0 {
+				regs[reg] = 0
 			}
 		}
-		dst = append(dst, uint64(len(p.Buf)))
-		for _, b := range p.Buf {
-			dst = append(dst, uint64(b.v), b.x)
-		}
+	}
+	dst[k+bufAt] = uint64(len(p.Buf))
+	for _, b := range p.Buf {
+		dst = append(dst, uint64(b.v), b.x)
 	}
 	return dst
 }
@@ -94,40 +107,29 @@ func decode(s *State, enc []uint64, nv, n int) {
 	s.Crashes = 0
 	k := nv
 	for i := range s.Procs {
-		p := &s.Procs[i]
-		f := enc[k]
-		p.PC = int(f >> pcShift & pcMask)
-		p.CrashCount = int(f >> crashShift)
-		p.Fencing = f&flagFencing != 0
-		p.Started = f&flagStarted != 0
-		p.Done = f&flagDone != 0
-		p.InExit = f&flagInExit != 0
-		p.Crashed = f&flagCrashed != 0
-		copy(p.Regs[:], enc[k+1:k+1+NumRegs])
-		k += 1 + NumRegs
-		nb := int(enc[k])
-		k++
-		p.Buf = slices.Grow(p.Buf[:0], nb)
-		for ; nb > 0; nb-- {
-			p.Buf = append(p.Buf, bufEnt{v: int(enc[k]), x: enc[k+1]})
-			k += 2
-		}
-		s.Crashes += p.CrashCount
+		k += decodeProc(&s.Procs[i], enc[k:])
+		s.Crashes += s.Procs[i].CrashCount
 	}
 }
 
-// copyState overwrites dst with src, reusing dst's slices.
-func copyState(dst, src *State) {
-	dst.Mem = append(dst.Mem[:0], src.Mem...)
-	if len(dst.Procs) != len(src.Procs) {
-		dst.Procs = make([]PState, len(src.Procs))
+// decodeProc overwrites p with the process whose fields start enc, reusing
+// p's buffer, and returns the number of words the fields take.
+func decodeProc(p *PState, enc []uint64) int {
+	f := enc[0]
+	p.PC = int(f >> pcShift & pcMask)
+	p.CrashCount = int(f >> crashShift)
+	p.Fencing = f&flagFencing != 0
+	p.Started = f&flagStarted != 0
+	p.Done = f&flagDone != 0
+	p.InExit = f&flagInExit != 0
+	p.Crashed = f&flagCrashed != 0
+	p.Regs = [NumRegs]uint64(enc[1:bufAt])
+	nb := int(enc[bufAt])
+	p.Buf = slices.Grow(p.Buf[:0], nb)[:nb]
+	for j := range p.Buf {
+		p.Buf[j] = bufEnt{v: int(enc[bufAt+1+2*j]), x: enc[bufAt+2+2*j]}
 	}
-	for i := range src.Procs {
-		buf := dst.Procs[i].Buf
-		dst.Procs[i] = src.Procs[i]
-		dst.Procs[i].Buf = append(buf[:0], src.Procs[i].Buf...)
-	}
-	dst.Crashes = src.Crashes
+	return bufAt + 1 + 2*nb
 }
 
 // Multipliers of the hash rounds: the 64-bit primes of xxHash.
@@ -250,70 +252,110 @@ type kid struct {
 	perm uint16
 }
 
-// expander is the successor path the frontier engines share. For each
-// decision it applies the decision to a scratch copy of the parent,
-// canonicalizes the copy straight into the flat encoding and hashes it
-// once; the caller then copies an encoding into its shard's arena only when
-// the seen-set does not hold it yet. Every buffer is the expander's own and
-// reused, so once they have grown a transition allocates nothing.
+// expander is the successor path the frontier engines share. It builds
+// each successor as a patch of its parent: a decision changes only the
+// memory, the acting process and the crash total (Engine.Apply), so it
+// applies the decision to the decoded parent in place and splices the
+// successor's encoding from the memory, the parent's words for every other
+// process and a fresh encoding of the acting process alone. It
+// canonicalizes that encoding in place, hashes it once, and undoes the
+// decision from the parent's words; the caller then copies an encoding into
+// its shard's arena only when the seen-set does not hold it yet. Every
+// buffer is the expander's own and reused, so once they have grown a
+// transition allocates nothing.
 type expander struct {
-	eng  *Engine
-	par  State // the state being expanded, decoded from its encoding
-	work State // the copy of par a decision is applied to
+	eng *Engine
+	// st is the state being expanded, decoded from penc, its encoding in a
+	// frontier arena; off[i] is where process i's fields start in penc and
+	// off[n] is its length.
+	st   State
+	penc []uint64
+	off  []int
 	decs []tso.Decision
 	enc  []uint64 // the kids' encodings, back to back
 	kids []kid
 }
 
-// load decodes the state to expand into x.par.
+// load decodes the state to expand, whose encoding enc stays in its arena
+// while the expander reads it, into x.st and records where each process's
+// fields start in enc.
 func (x *expander) load(enc []uint64) {
-	decode(&x.par, enc, len(x.eng.prog.Vars), x.eng.n)
+	nv := len(x.eng.prog.Vars)
+	decode(&x.st, enc, nv, x.eng.n)
+	x.penc = enc
+	x.off = append(x.off[:0], nv)
+	for i := range x.st.Procs {
+		x.off = append(x.off, x.off[i]+bufAt+1+2*len(x.st.Procs[i].Buf))
+	}
 }
 
 // root replaces the kids with the search's root: the canonical initial
-// state, reached by no decision.
+// state, reached by no decision. Its registers are all zero, so none needs
+// reading as zero.
 func (x *expander) root() {
-	x.enc, x.kids = x.enc[:0], x.kids[:0]
-	x.add(tso.Decision{}, x.eng.Initial())
+	x.enc, x.kids = encode(x.enc[:0], x.eng.Initial()), x.kids[:0]
+	x.add(tso.Decision{}, 0)
 }
 
-// add appends s, reached by d, as a kid: its canonical encoding, hash and
-// permutation.
-func (x *expander) add(d tso.Decision, s *State) {
-	start := len(x.enc)
+// add appends as a kid the state reached by d whose flat encoding, with
+// dead registers read as zero, starts at start in x.enc and runs to its
+// end: it canonicalizes the encoding in place and hashes it.
+func (x *expander) add(d tso.Decision, start int) {
 	var perm uint16
 	if r := x.eng.red; r != nil {
-		x.enc, perm = r.canonEncode(x.enc, s)
-	} else {
-		x.enc = encode(x.enc, s)
+		perm = r.canonize(x.enc[start:])
 	}
 	x.kids = append(x.kids, kid{d: d, end: len(x.enc), h: hashWords(x.enc[start:]), perm: perm})
 }
 
-// gen replaces the kids with the successors of x.par under decs.
+// gen appends to the kids the successors of x.st under decs. Each decision
+// is applied to x.st in place; the successor's encoding is x.st's memory,
+// the parent's words for the processes before and after the acting one,
+// whose PCs and so liveness masks it leaves alone, and the acting process
+// encoded afresh. The memory, the acting process and the crash total are
+// then restored from the parent's words, so x.st is the parent again
+// whether or not Apply failed.
 func (x *expander) gen(decs []tso.Decision) {
-	x.enc, x.kids = x.enc[:0], x.kids[:0]
+	e, s, nv := x.eng, &x.st, len(x.eng.prog.Vars)
+	var live []uint16 // nil, all live, without reduction facts
+	if e.red != nil {
+		live = e.red.f.LiveRegs
+	}
 	for _, d := range decs {
-		copyState(&x.work, &x.par)
-		if err := x.eng.Apply(&x.work, d); err != nil {
+		i := int(d.P)
+		p := &s.Procs[i]
+		if err := e.Apply(s, d); err != nil {
 			x.kids = append(x.kids, kid{d: d, err: err, end: len(x.enc)})
-			continue
+		} else {
+			start := len(x.enc)
+			x.enc = append(x.enc, s.Mem...)
+			x.enc = append(x.enc, x.penc[nv:x.off[i]]...)
+			x.enc = encodeProc(x.enc, p, live)
+			x.enc = append(x.enc, x.penc[x.off[i+1]:]...)
+			x.add(d, start)
 		}
-		x.add(d, &x.work)
+		copy(s.Mem, x.penc[:nv])
+		s.Crashes -= p.CrashCount
+		decodeProc(p, x.penc[x.off[i]:])
+		s.Crashes += p.CrashCount
 	}
 }
 
-// successors generates the kids of x.par in a crash-free search. With
+// successors generates the kids of x.st in a crash-free search. With
 // reduction facts it first tries an ample process (conditions C0-C2); its
 // successors stand alone unless visited reports one of them explored, the
 // caller's cycle proviso (C3). Otherwise every enabled decision is
-// expanded. It reports whether the ample set stood, or the first Apply
-// error. The proviso lookup and the insertion share each kid's one hash.
+// expanded: a rejected ample set's successors are kept, first, and only the
+// other processes' decisions are generated after them. It reports whether
+// the ample set stood, or the first Apply error. The proviso lookup and the
+// insertion share each kid's one hash.
 func (x *expander) successors(visited func(h uint64) bool) (ample bool, err error) {
 	e := x.eng
+	x.enc, x.kids = x.enc[:0], x.kids[:0]
+	id := -1
 	if e.red != nil {
-		if id, ok := e.ampleProcess(&x.par); ok {
-			x.decs = e.procDecisions(&x.par, id, x.decs[:0])
+		if a, ok := e.ampleProcess(&x.st); ok {
+			x.decs = e.procDecisions(&x.st, a, x.decs[:0])
 			x.gen(x.decs)
 			if err := x.err(); err != nil {
 				return false, err
@@ -328,17 +370,25 @@ func (x *expander) successors(visited func(h uint64) bool) (ample bool, err erro
 			if ample {
 				return true, nil
 			}
+			id = a
 		}
 	}
-	x.all(CrashOpts{})
+	x.decs = x.decs[:0]
+	for q := range x.st.Procs {
+		if q != id {
+			x.decs = e.procDecisions(&x.st, q, x.decs)
+		}
+	}
+	x.gen(x.decs)
 	return false, x.err()
 }
 
-// all generates the successors of x.par under every enabled decision,
+// all generates the successors of x.st under every enabled decision,
 // crash decisions included per crash.
 func (x *expander) all(crash CrashOpts) {
 	e := x.eng
-	x.decs = e.crashDecisions(&x.par, crash, e.decisions(&x.par, x.decs[:0]))
+	x.enc, x.kids = x.enc[:0], x.kids[:0]
+	x.decs = e.crashDecisions(&x.st, crash, e.decisions(&x.st, x.decs[:0]))
 	x.gen(x.decs)
 }
 

@@ -608,7 +608,7 @@ func (w *pworker) expand(it pitem, a *arena) {
 	}
 	x := &w.x
 	x.load(a.get(it.ref))
-	if x.eng.Violated(&x.par) {
+	if x.eng.Violated(&x.st) {
 		if !w.viol || it.h < w.violH {
 			w.viol, w.violH = true, it.h
 		}
@@ -643,13 +643,13 @@ func (w *pworker) expandRecov(it pitem, a *arena) {
 	}
 	x := &w.x
 	x.load(a.get(it.ref))
-	if x.eng.Violated(&x.par) {
+	if x.eng.Violated(&x.st) {
 		if !w.viol || it.h < w.violH {
 			w.viol, w.violH = true, it.h
 		}
 		return
 	}
-	if x.eng.AllDone(&x.par) {
+	if x.eng.AllDone(&x.st) {
 		w.doneIDs = append(w.doneIDs, it.id)
 		return
 	}
@@ -667,7 +667,7 @@ func (w *pworker) expandRecov(it pitem, a *arena) {
 	}
 	for k := range x.kids {
 		if err := x.kids[k].err; err != nil {
-			if x.par.Crashes == 0 {
+			if x.st.Crashes == 0 {
 				// Crash-free faults are program bugs, not verdicts.
 				w.g.fail(fmt.Errorf("vmprog: recoverability check: %w", err))
 				return

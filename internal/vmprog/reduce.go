@@ -24,8 +24,8 @@ type reducer struct {
 	// candR/candW are the ample candidate's read/write footprint scratch.
 	candR, candW []uint64
 	// off[i] is where process i's fields start in the identity encoding
-	// canonEncode is permuting; encA/encB hold the smaller images it
-	// finds, out CanonicalState's encoding.
+	// canonize is permuting; encA/encB hold the smaller images it finds,
+	// out CanonicalState's encoding.
 	off             []int
 	encA, encB, out []uint64
 }
@@ -363,27 +363,29 @@ func (r *reducer) applyPerm(s *State, perm []int) *State {
 	return ns
 }
 
-// bufAt is where a process's buffer length sits among its fields in the
-// flat encoding: after the flags word and the registers.
-const bufAt = 1 + NumRegs
-
 // canonEncode appends the canonical encoding of s to dst: the flat encoding
-// with dead registers read as zero and, when symmetry facts are installed,
-// the lexicographic minimum over the orbit of s under S_n. It returns the
-// extended slice and the index in r.g.perms of the permutation that
-// produced the minimum: the first strict minimum in that order, so 0, the
-// identity, when none is smaller. The identity image is encoded straight
-// into dst and every other image is read off it; an image is written out
-// only once it is known to be smaller than the best so far. It builds no
-// State per permutation and leaves s unmodified.
+// with dead registers read as zero, canonicalized in place. It returns the
+// extended slice and the permutation canonize chose, and leaves s
+// unmodified.
 func (r *reducer) canonEncode(dst []uint64, s *State) ([]uint64, uint16) {
 	start := len(dst)
 	dst = encodeLive(dst, s, r.f.LiveRegs)
+	return dst, r.canonize(dst[start:])
+}
+
+// canonize overwrites id, a flat encoding with dead registers read as zero,
+// with the lexicographic minimum over its orbit under S_n when symmetry
+// facts are installed, and returns the index in r.g.perms of the permutation
+// that produced the minimum: the first strict minimum in that order, so 0,
+// the identity, when none is smaller (always, without symmetry). Every image
+// other than the identity is read off id a word at a time; an image is
+// written out only once it is known to be smaller than the best so far, so
+// it builds no State per permutation.
+func (r *reducer) canonize(id []uint64) uint16 {
 	g := r.g
 	if g == nil {
-		return dst, 0
+		return 0
 	}
-	id := dst[start:]
 	k := g.nv
 	for i := range r.off {
 		r.off[i] = k
@@ -401,7 +403,7 @@ func (r *reducer) canonEncode(dst []uint64, s *State) ([]uint64, uint16) {
 	if bi != 0 {
 		copy(id, best)
 	}
-	return dst, bi
+	return bi
 }
 
 // permLess reports whether the image under r.g.perms[pi] of the state whose
