@@ -235,17 +235,18 @@ func explore(t *testing.T, eng *vmprog.Engine, n, limit int) []*vmprog.State {
 // TestCanonicalOrbitOracle is the brute-force soundness oracle for the
 // symmetry canonicalizer: over every reachable state of every symmetric
 // registry program at n <= 3, and of mcs at n = 4 (the 24-permutation group
-// the explore-sym benchmark workload canonicalizes over), the canonical
-// representative must be identical across the state's entire orbit under
-// all n! process permutations, and must itself be a member of that orbit.
-// Together these say the canonicalizer picks exactly one representative per
-// orbit - states are merged if and only if a permutation relates them.
+// the explore-sym benchmark workload canonicalizes over) and, outside
+// -short, n = 5, the canonical representative must be identical across the
+// state's entire orbit under all n! process permutations, and must itself
+// be a member of that orbit. Together these say the canonicalizer picks
+// exactly one representative per orbit - states are merged if and only if a
+// permutation relates them.
 func TestCanonicalOrbitOracle(t *testing.T) {
-	// States per program at n <= 3, and for mcs at n = 4, where a state
-	// costs 24 canonicalizations of 24 images each.
-	limit, limit4 := 1500, 10000
+	// States per program at n <= 3, and for mcs at n = 4 and 5, where a
+	// state costs n!+1 canonicalizations and n!+1 images.
+	limits := map[int]int{3: 1500, 4: 10000, 5: 2000}
 	if testing.Short() {
-		limit, limit4 = 300, 2000
+		limits = map[int]int{3: 300, 4: 2000}
 	}
 	for _, e := range vmprog.Registry() {
 		if e.FixedN > 3 {
@@ -254,12 +255,12 @@ func TestCanonicalOrbitOracle(t *testing.T) {
 		ns := []int{testN(e, 3)}
 		if e.Name == "mcs" {
 			ns = append(ns, 4)
+			if !testing.Short() {
+				ns = append(ns, 5)
+			}
 		}
 		for _, n := range ns {
-			lim := limit
-			if n == 4 {
-				lim = limit4
-			}
+			lim := limits[max(n, 3)]
 			p, err := e.Build(n)
 			if err != nil {
 				t.Fatalf("%s: %v", e.Name, err)

@@ -137,6 +137,10 @@ type FleetChaosReport struct {
 	NodeDeaths       int64 `json:"node_deaths"`
 	IntegrityRejects int64 `json:"integrity_rejects"`
 	Replications     int64 `json:"replications"`
+	// WaitTimeouts counts the per-cycle settle waits that ran out their
+	// deadline with jobs still unfinished: a job the fleet should finish
+	// within a cycle that it does not is a stall, not slowness.
+	WaitTimeouts int `json:"wait_timeouts"`
 	// Lost lists jobs that never reached done even after the fault-free
 	// convergence pass; DupEffects jobs whose recorded artifact checksum
 	// ever changed (a duplicated side effect). Both must be empty.
@@ -272,7 +276,9 @@ func FleetChaos(dir string, opts FleetChaosOptions) (*FleetChaosReport, error) {
 		if settle > 0 {
 			// nosleep:allow the harness is its own root; per-cycle settle deadline
 			wctx, wcancel := context.WithTimeout(context.Background(), 30*time.Second)
-			_, _ = cl.WaitMany(wctx, ids[:settle], chaosPoll)
+			if _, err := cl.WaitMany(wctx, ids[:settle], chaosPoll); err != nil && wctx.Err() != nil {
+				rep.WaitTimeouts++
+			}
 			wcancel()
 		}
 
@@ -325,7 +331,9 @@ func FleetChaos(dir string, opts FleetChaosOptions) (*FleetChaosReport, error) {
 		if len(ids) > 0 {
 			// nosleep:allow the harness is its own root; per-cycle settle deadline
 			wctx, wcancel := context.WithTimeout(context.Background(), 30*time.Second)
-			_, _ = cl.WaitMany(wctx, ids, chaosPoll)
+			if _, err := cl.WaitMany(wctx, ids, chaosPoll); err != nil && wctx.Err() != nil {
+				rep.WaitTimeouts++
+			}
 			wcancel()
 		}
 

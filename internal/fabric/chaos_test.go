@@ -61,7 +61,8 @@ func TestFleetChaosConvergence(t *testing.T) {
 
 // TestFleetChaosDeterministicSchedule: the kill/close schedule, the
 // dispatcher-restart cycle and the submission mix are pure functions of the
-// seed.
+// seed, and no cycle's settle wait runs out its 30 s deadline: under the
+// injected faults every job still finishes within its cycle.
 func TestFleetChaosDeterministicSchedule(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -81,5 +82,8 @@ func TestFleetChaosDeterministicSchedule(t *testing.T) {
 	}
 	if !a.Converged || !b.Converged {
 		t.Fatalf("convergence: run1=%v run2=%v", a.Converged, b.Converged)
+	}
+	if a.WaitTimeouts != 0 || b.WaitTimeouts != 0 {
+		t.Fatalf("settle waits out of deadline: run1=%d run2=%d, want 0", a.WaitTimeouts, b.WaitTimeouts)
 	}
 }

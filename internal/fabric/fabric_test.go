@@ -466,6 +466,52 @@ func TestFleetEndToEnd(t *testing.T) {
 	}
 }
 
+// TestAckAfterFailedTerminalStatusWrite: when a node's store refuses the
+// terminal status write of a job its queue finished, the node still acks the
+// job from its queue and brings its store up to date first, so the
+// dispatcher records the job done at once instead of letting its lease
+// expire and re-placing it.
+func TestAckAfterFailedTerminalStatusWrite(t *testing.T) {
+	dir := t.TempDir()
+	d, _, err := chaosDispatcher(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	router := NewRouter()
+	router.Swap(Handler(d))
+	// The node writes the job's status three times: queued, running, done.
+	inj := fault.NewScript().At(jobs.SiteWriteStatus, 3, fault.Fault{Kind: fault.Err})
+	w, err := chaosWorker(dir, 0, router, inj, 1, jobs.RetryPolicy{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+
+	cl := jobs.NewClient("http://dispatcher")
+	cl.HTTP = router.Client()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second) // nosleep:allow test deadline
+	defer cancel()
+	params, _ := json.Marshal(jobs.SyntheticParams{I: 1})
+	resp, err := cl.Submit(ctx, jobs.Spec{Kind: jobs.KindSynthetic, Params: params})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := cl.WaitMany(ctx, []string{resp.ID}, 5*time.Millisecond)
+	if err != nil {
+		t.Fatalf("wait: %v (dispatcher %+v)", err, d.Report())
+	}
+	if r := results[resp.ID]; r.State != jobs.StateDone {
+		t.Fatalf("job %s is %s, want done", resp.ID, r.State)
+	}
+	if rep := d.Report(); rep.LeaseExpiries != 0 || rep.Reassignments != 0 {
+		t.Fatalf("dispatcher saw %d lease expiries and %d reassignments, want none", rep.LeaseExpiries, rep.Reassignments)
+	}
+	if st, err := w.store.GetStatus(resp.ID); err != nil || st.State != jobs.StateDone {
+		t.Fatalf("node store holds %s (%v), want done", st.State, err)
+	}
+}
+
 // TestFleetCancelPropagation: cancelling through the v1 API reaches the
 // executing node via heartbeat control traffic and lands terminal.
 func TestFleetCancelPropagation(t *testing.T) {

@@ -276,9 +276,14 @@ func (w *Worker) drop(id string) {
 }
 
 // flushAcks reports every locally-terminal job to the dispatcher, artifact
-// attached. Transport failures keep the ack queued for the next tick; an
-// unknown-node answer forces a re-registration; an integrity reject drops
-// the claim (the dispatcher already re-queued the job elsewhere).
+// attached. The local queue is the source of truth, as it is for the
+// heartbeat's lease renewals: its terminal status write to the store is
+// best effort, so an ack first brings a lagging store up to the queue's
+// status (a restart would otherwise re-run, or re-report, a job the
+// dispatcher was told is finished). Transport and store failures keep the
+// ack queued for the next tick; an unknown-node answer forces a
+// re-registration; an integrity reject drops the claim (the dispatcher
+// already re-queued the job elsewhere).
 func (w *Worker) flushAcks() {
 	for {
 		w.mu.Lock()
@@ -289,16 +294,21 @@ func (w *Worker) flushAcks() {
 		id := w.acks[0]
 		w.mu.Unlock()
 
-		st, err := w.store.GetStatus(id)
+		st, err := w.queue.Get(id)
 		if err != nil {
-			// Status vanished locally (aborted mid-write): nothing to
-			// report; the lease will recycle the job if it still matters.
+			// Unknown to the local queue: nothing to report; the lease will
+			// recycle the job if it still matters.
 			w.dropAck(id)
 			continue
 		}
 		if !st.State.Terminal() {
 			w.dropAck(id) // re-queued locally (retry policy); not terminal after all
 			continue
+		}
+		if disk, derr := w.store.GetStatus(id); derr != nil || disk.State != st.State {
+			if w.store.PutStatus(id, st) != nil {
+				return // store trouble: retry the whole backlog next tick
+			}
 		}
 		req := CompleteRequest{
 			Node:       w.opts.Name,
@@ -309,7 +319,7 @@ func (w *Worker) flushAcks() {
 			DurationNS: st.Duration.Nanoseconds(),
 		}
 		if st.State == jobs.StateDone {
-			raw, rerr := w.store.GetResult(id)
+			raw, rerr := w.queue.Result(id)
 			if rerr != nil {
 				// Artifact lost under us: report the failure honestly so
 				// the dispatcher re-queues instead of waiting out the lease.

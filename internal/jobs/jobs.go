@@ -26,7 +26,8 @@ import (
 
 // CodeVersion participates in job identity: bump it when a runner's behavior
 // changes so stale cached artifacts are not served for new code.
-const CodeVersion = "4"
+// TestCodeVersionPinsResults pins artifact digests taken at this version.
+const CodeVersion = "5"
 
 // Spec is a job submission. Kind and Params define the job's identity;
 // TimeoutSec is execution metadata and does not participate in the hash.

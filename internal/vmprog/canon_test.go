@@ -36,20 +36,25 @@ func symEngine(tb testing.TB, name string, n int) *vmprog.Engine {
 	return eng
 }
 
-// TestCanonEncodeMatchesBruteForce holds the canonicalizer to its
-// definition on the breadth-first states (one crash, at most one per
-// process) of every symmetric registry program at n = 2, 3 and 4: the
-// encoding is the smallest of the encodings of all n! images, each built
-// as a whole State, and the permutation is the first in the engine's order
-// that yields it.
+// TestCanonEncodeMatchesBruteForce is the orbit oracle on the encoding
+// path. On the breadth-first states (one crash, at most one per process) of
+// every symmetric registry program at n = 2 to 5 it builds all n! images of
+// each state as whole States and requires of the canonicalizer what the
+// search relies on: every image canonicalizes to the state's own canonical
+// encoding, so there is one representative per orbit; the permutation
+// returned produces that encoding, so schedules translate back to the real
+// frame; and it is the identity exactly when the state is its own
+// representative.
 func TestCanonEncodeMatchesBruteForce(t *testing.T) {
-	limit := 10000
+	// States per program at each n: a state costs n! images and n!+1
+	// canonicalizations.
+	limits := map[int]int{2: 10000, 3: 6000, 4: 2500, 5: 300}
 	if testing.Short() {
-		limit = 2000
+		limits = map[int]int{2: 2000, 3: 1200, 4: 500, 5: 60}
 	}
 	crash := vmprog.CrashOpts{MaxCrashes: 1, MaxPerProc: 1}
 	for _, ent := range vmprog.Registry() {
-		for n := 2; n <= 4; n++ {
+		for n := 2; n <= 5; n++ {
 			if ent.FixedN > 0 && ent.FixedN != n {
 				continue
 			}
@@ -57,26 +62,44 @@ func TestCanonEncodeMatchesBruteForce(t *testing.T) {
 			if vmprog.NumPerms(eng) == 0 {
 				continue
 			}
+			perms := permutations(n)
 			t.Run(fmt.Sprintf("%s/n=%d", ent.Name, n), func(t *testing.T) {
-				var got, img, want []uint64
-				for _, s := range vmprog.BFSStates(eng, crash, limit) {
-					var gi int
-					got, gi = vmprog.CanonEncode(eng, got[:0], s)
-					wi := 0
-					want = vmprog.ImageEncode(eng, want[:0], s, 0)
-					for pi := 1; pi < vmprog.NumPerms(eng); pi++ {
-						img = vmprog.ImageEncode(eng, img[:0], s, pi)
-						if slices.Compare(img, want) < 0 {
-							want, img, wi = img, want, pi
-						}
+				var want, got, own []uint64
+				for _, s := range vmprog.BFSStates(eng, crash, limits[n]) {
+					var pi int
+					want, pi = vmprog.CanonEncode(eng, want[:0], s)
+					if own = vmprog.ImageEncode(eng, own[:0], s, pi); !slices.Equal(own, want) {
+						t.Fatalf("state %v: permutation %d gives\n%v\nnot the canonical encoding\n%v", s, pi, own, want)
 					}
-					if gi != wi || !slices.Equal(got, want) {
-						t.Fatalf("state %v:\ncanonEncode perm %d %v\nbrute force perm %d %v", s, gi, got, wi, want)
+					own = vmprog.ImageEncode(eng, own[:0], s, 0)
+					if (pi == 0) != slices.Equal(own, want) {
+						t.Fatalf("state %v: permutation %d, but the state encodes to\n%v\nand its representative to\n%v", s, pi, own, want)
+					}
+					for _, perm := range perms {
+						got, _ = vmprog.CanonEncode(eng, got[:0], eng.PermuteState(s, perm))
+						if !slices.Equal(got, want) {
+							t.Fatalf("orbit split: state %v under %v canonicalizes to\n%v\nwant\n%v", s, perm, got, want)
+						}
 					}
 				}
 			})
 		}
 	}
+}
+
+// permutations returns every permutation of 0..n-1.
+func permutations(n int) [][]int {
+	if n == 0 {
+		return [][]int{{}}
+	}
+	var out [][]int
+	for _, p := range permutations(n - 1) {
+		for i := 0; i < n; i++ {
+			q := append(append(slices.Clone(p[:i]), n-1), p[i:]...)
+			out = append(out, q)
+		}
+	}
+	return out
 }
 
 // TestUsePruningRejectsMalformedSymmetry edits mcs's symmetry facts at n=3
@@ -163,14 +186,15 @@ func walkStates(eng *vmprog.Engine, seed int64, count int) []*vmprog.State {
 }
 
 // BenchmarkCanonEncode times one canonicalization of a successor sampled
-// from random runs of mcs at n=4 (the explore-sym workload's 24
-// permutations) and synthetic at n=3: the per-layer cost of the symmetry
-// reduction. It fails if a call allocates.
+// from random runs, the per-layer cost of the symmetry reduction by group
+// size: mcs at n = 4 (the explore-sym workload), 5 and 6, and synthetic at
+// n = 2 (the largest crash graph of the RME suite) and 3. It fails if a call
+// allocates.
 func BenchmarkCanonEncode(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		n    int
-	}{{"mcs", 4}, {"synthetic", 3}} {
+	}{{"mcs", 4}, {"mcs", 5}, {"mcs", 6}, {"synthetic", 2}, {"synthetic", 3}} {
 		b.Run(fmt.Sprintf("%s/n=%d", c.name, c.n), func(b *testing.B) {
 			eng := symEngine(b, c.name, c.n)
 			states := walkStates(eng, 1, 4096)

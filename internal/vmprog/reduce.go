@@ -1,15 +1,18 @@
 package vmprog
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 
 	"priceadaptive/internal/tso"
 )
 
 // maxSymmetryN bounds the process count for which canonicalization is
-// attempted: the canonicalizer enumerates all n! permutations per state, so
-// beyond this the factorial cost of canonicalizing outweighs the factorial
-// state savings in wall-clock terms.
+// attempted. The canonicalizer tries only the orderings of tied slots, but
+// the group keeps tables per permutation (2·n!·nv cell entries, built once
+// per engine) and names a permutation by a uint16 index, so n! must stay
+// small: 5,040 permutations at 7.
 const maxSymmetryN = 7
 
 // reducer holds what the reduced exploration consults on every state: the
@@ -24,19 +27,19 @@ type reducer struct {
 	// candR/candW are the ample candidate's read/write footprint scratch.
 	candR, candW []uint64
 	// off[i] is where process i's fields start in the identity encoding
-	// canonize is permuting; encA/encB hold the smaller images it finds,
-	// out CanonicalState's encoding.
-	off             []int
+	// canonize is permuting; ord[j] is the process canonize puts in slot j,
+	// tie[j] says that its key equals slot j-1's, and step[j] counts the
+	// transpositions nextTied has made in the run of ties starting at j.
+	// encA/encB hold the smaller images canonize finds, out
+	// CanonicalState's encoding.
+	off, ord, step  [maxSymmetryN]int
+	tie             [maxSymmetryN]bool
 	encA, encB, out []uint64
 }
 
 func newReducer(e *Engine, f *PruneFacts, g *symGroup) *reducer {
 	nw := (len(e.prog.Vars) + 63) / 64
-	r := &reducer{f: f, g: g, candR: make([]uint64, nw), candW: make([]uint64, nw)}
-	if g != nil {
-		r.off = make([]int, e.n)
-	}
-	return r
+	return &reducer{f: f, g: g, candR: make([]uint64, nw), candW: make([]uint64, nw)}
 }
 
 // symGroup is the permutation group the canonicalizer ranges over, with
@@ -45,12 +48,15 @@ func newReducer(e *Engine, f *PruneFacts, g *symGroup) *reducer {
 // afterwards, so every worker's reducer shares it.
 type symGroup struct {
 	facts *SymmetryFacts
-	nv    int
+	n, nv int
 	// perms enumerates S_n with the identity first and invs holds their
 	// inverses. The frontier engines name a permutation by its index in
-	// perms; rank maps a permutation's lexicographic rank to that index.
+	// perms; rank maps a permutation's lexicographic rank to that index,
+	// and byInv maps the rank of its inverse there. swaps[k] walks the
+	// orders of k tied processes (heapSwaps).
 	perms, invs [][]int
-	rank        []uint16
+	rank, byInv []uint16
+	swaps       [][][2]uint8
 	// from[pi*nv+c] is the variable whose content lands in cell c under
 	// perms[pi], the inverse of the cell forms; to[pi*nv+v] is the cell
 	// that receives variable v's content.
@@ -61,7 +67,8 @@ type symGroup struct {
 	cells []int32
 	// mapped[pc] marks the registers live at pc whose form is a real map;
 	// every other register keeps its (liveness-masked) value in every image.
-	mapped []uint16
+	// plain[pc] marks the live ones among those.
+	mapped, plain []uint16
 }
 
 // newSymGroup checks f's symmetry facts for program p at n processes and
@@ -92,9 +99,14 @@ func newSymGroup(p *Program, n int, f *PruneFacts) (*symGroup, error) {
 		return nil, nil
 	}
 	nv := len(p.Vars)
-	g := &symGroup{facts: sym, nv: nv, perms: permutations(n)}
+	g := &symGroup{facts: sym, n: n, nv: nv, perms: permutations(n)}
 	g.invs = make([][]int, len(g.perms))
 	g.rank = make([]uint16, len(g.perms))
+	g.byInv = make([]uint16, len(g.perms))
+	g.swaps = make([][][2]uint8, n+1)
+	for k := range g.swaps {
+		g.swaps[k] = heapSwaps(k)
+	}
 	g.from = make([]int32, len(g.perms)*nv)
 	g.to = make([]int32, len(g.perms)*nv)
 	for pi, perm := range g.perms {
@@ -103,6 +115,7 @@ func newSymGroup(p *Program, n int, f *PruneFacts) (*symGroup, error) {
 			g.invs[pi][k] = j
 		}
 		g.rank[lexRank(perm)] = uint16(pi)
+		g.byInv[lexRank(g.invs[pi])] = uint16(pi)
 		from, to := g.from[pi*nv:(pi+1)*nv], g.to[pi*nv:(pi+1)*nv]
 		for c := range from {
 			from[c] = -1
@@ -126,12 +139,14 @@ func newSymGroup(p *Program, n int, f *PruneFacts) (*symGroup, error) {
 		}
 	}
 	g.mapped = make([]uint16, len(sym.RegForms))
+	g.plain = make([]uint16, len(sym.RegForms))
 	for pc, forms := range sym.RegForms {
 		for reg, fm := range forms {
 			if fm.Mapped() && f.LiveRegs[pc]&(1<<reg) != 0 {
 				g.mapped[pc] |= 1 << reg
 			}
 		}
+		g.plain[pc] = f.LiveRegs[pc] &^ g.mapped[pc]
 	}
 	return g, nil
 }
@@ -374,29 +389,71 @@ func (r *reducer) canonEncode(dst []uint64, s *State) ([]uint64, uint16) {
 }
 
 // canonize overwrites id, a flat encoding with dead registers read as zero,
-// with the lexicographic minimum over its orbit under S_n when symmetry
-// facts are installed, and returns the index in r.g.perms of the permutation
-// that produced the minimum: the first strict minimum in that order, so 0,
-// the identity, when none is smaller (always, without symmetry). Every image
-// other than the identity is read off id a word at a time; an image is
-// written out only once it is known to be smaller than the best so far, so
-// it builds no State per permutation.
+// with the canonical member of its orbit under S_n when symmetry facts are
+// installed, and returns the index in r.g.perms of the permutation that
+// produced it: 0, the identity, when id is canonical already (always,
+// without symmetry).
+//
+// A process's key is what no permutation changes: its flags word (PC,
+// flags, crash count), the registers r.g.mapped does not mark at its PC
+// (dead ones read as zero) and its buffer length. Every member of an orbit
+// has the same multiset of keys, so the images whose slots hold ascending
+// keys are one set for the whole orbit, and the lexicographically smallest
+// of them is one representative per orbit. canonize sorts the processes by
+// key, then walks the orderings that permute processes only within runs of
+// equal keys, and keeps the smallest image: compared a word at a time by
+// permLess and written out only when it wins, so it builds no State.
 func (r *reducer) canonize(id []uint64) uint16 {
 	g := r.g
 	if g == nil {
 		return 0
 	}
+	off, ord, tie := r.off[:g.n], r.ord[:g.n], r.tie[:g.n]
 	k := g.nv
-	for i := range r.off {
-		r.off[i] = k
+	for i := range off {
+		off[i] = k
 		k += bufAt + 1 + 2*int(id[k+bufAt])
 	}
+	// A stable insertion sort that marks the runs as it goes. Inserting a
+	// key before a larger one never splits a run of equal keys: the
+	// displaced neighbour only loses its tie with the inserted key.
+	ord[0], tie[0] = 0, false
+	moved, tied := false, false
+	for i := 1; i < len(ord); i++ {
+		j, c, flags := i, 0, id[off[i]]
+		for ; j > 0; j-- {
+			if c = cmp.Compare(flags, id[off[ord[j-1]]]); c == 0 {
+				c = g.restCmp(id[off[i]:], id[off[ord[j-1]]:])
+			}
+			if c >= 0 {
+				break
+			}
+			ord[j], tie[j] = ord[j-1], tie[j-1]
+		}
+		if j < i {
+			moved, tie[j+1] = true, false
+		}
+		ord[j], tie[j] = i, c == 0
+		tied = tied || c == 0
+	}
+	if !moved && !tied {
+		return 0
+	}
+	// The stable order is the first candidate. When nothing moved it is the
+	// identity, whose image is id; when something did, the identity is no
+	// candidate. Either way bi ends at 0 exactly when id is the minimum.
 	best, bi := id, uint16(0)
-	for pi := 1; pi < len(g.perms); pi++ {
-		if r.permLess(id, best, pi) {
+	if moved {
+		bi = g.byInv[lexRank(ord)]
+		r.encA = r.image(r.encA[:0], id, int(bi))
+		best = r.encA
+		r.encA, r.encB = r.encB, r.encA
+	}
+	for tied && r.nextTied() {
+		if pi := g.byInv[lexRank(ord)]; r.permLess(id, best, int(pi)) {
 			// encA is never the best: it alternates with encB.
-			r.encA = r.image(r.encA[:0], id, pi)
-			best, bi = r.encA, uint16(pi)
+			r.encA = r.image(r.encA[:0], id, int(pi))
+			best, bi = r.encA, pi
 			r.encA, r.encB = r.encB, r.encA
 		}
 	}
@@ -404,6 +461,66 @@ func (r *reducer) canonize(id []uint64) uint16 {
 		copy(id, best)
 	}
 	return bi
+}
+
+// restCmp compares the keys of the processes whose fields start p and q
+// (see canonize) once their flags words, and so their PCs, are equal:
+// their live unmapped registers, then their buffer lengths. It returns -1,
+// 0 or +1.
+func (g *symGroup) restCmp(p, q []uint64) int {
+	for m := g.plain[p[0]>>pcShift&pcMask]; m != 0; m &= m - 1 {
+		if w := 1 + bits.TrailingZeros16(m); p[w] != q[w] {
+			return cmp.Compare(p[w], q[w])
+		}
+	}
+	return cmp.Compare(p[bufAt], q[bufAt])
+}
+
+// nextTied advances r.ord to the next ordering that permutes processes only
+// within the runs of equal keys r.tie marks, like an odometer whose last
+// run turns fastest: a run steps through its orders by the transpositions
+// of Heap's algorithm, which visit every order from any start, and one
+// that has visited them all carries to the run before it. After the last
+// ordering it reports false, every run's count back at zero.
+func (r *reducer) nextTied() bool {
+	ord, tie := r.ord[:r.g.n], r.tie[:r.g.n]
+	for hi := len(ord); hi > 1; {
+		lo := hi - 1
+		for lo > 0 && tie[lo] {
+			lo--
+		}
+		if sw := r.g.swaps[hi-lo]; r.step[lo] < len(sw) {
+			t := sw[r.step[lo]]
+			ord[lo+int(t[0])], ord[lo+int(t[1])] = ord[lo+int(t[1])], ord[lo+int(t[0])]
+			r.step[lo]++
+			return true
+		}
+		r.step[lo] = 0
+		hi = lo
+	}
+	return false
+}
+
+// heapSwaps returns the k!-1 transpositions of positions by which Heap's
+// algorithm walks through all orders of k elements.
+func heapSwaps(k int) [][2]uint8 {
+	var out [][2]uint8
+	c := make([]int, k)
+	for i := 1; i < k; {
+		if c[i] < i {
+			j := 0
+			if i%2 == 1 {
+				j = c[i]
+			}
+			out = append(out, [2]uint8{uint8(j), uint8(i)})
+			c[i]++
+			i = 1
+		} else {
+			c[i] = 0
+			i++
+		}
+	}
+	return out
 }
 
 // permLess reports whether the image under r.g.perms[pi] of the state whose
