@@ -200,28 +200,59 @@ func BenchmarkE8FenceElision(b *testing.B) {
 	})
 }
 
-// BenchmarkSimulatorStep measures the cost of one simulated event
-// (request/grant round trip included).
+// BenchmarkSimulatorStep measures the cost of one simulated event: with a
+// Step per event, a request/grant round trip each, and with one StepWhile
+// per run of events, in which the process runs ahead on its own goroutine.
+// A fresh simulator every simEvents events keeps the execution logs small
+// whatever b.N is.
 func BenchmarkSimulatorStep(b *testing.B) {
-	var v *tso.Var
-	sim, err := tso.NewSimulator(tso.Config{N: 1, Passages: 1 << 30, AllowConcurrentCS: true},
-		func(s *tso.Simulator) (tso.Program, error) {
-			v = s.Memory().NewVar("x")
-			return func(p *tso.Proc) {
-				p.Read(v)
-				p.CS()
-			}, nil
-		})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sim.Kill()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.Step(0); err != nil {
+	const simEvents = 1 << 16
+	newSim := func(b *testing.B) *tso.Simulator {
+		var v *tso.Var
+		sim, err := tso.NewSimulator(tso.Config{N: 1, Passages: 1 << 30, AllowConcurrentCS: true},
+			func(s *tso.Simulator) (tso.Program, error) {
+				v = s.Memory().NewVar("x")
+				return func(p *tso.Proc) {
+					p.Read(v)
+					p.CS()
+				}, nil
+			})
+		if err != nil {
 			b.Fatal(err)
 		}
+		return sim
 	}
+	bench := func(b *testing.B, run func(sim *tso.Simulator, k int) error) {
+		for done := 0; done < b.N; done += simEvents {
+			b.StopTimer()
+			sim := newSim(b)
+			b.StartTimer()
+			if err := run(sim, min(simEvents, b.N-done)); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			sim.Kill()
+			b.StartTimer()
+		}
+	}
+	b.Run("Step", func(b *testing.B) {
+		bench(b, func(sim *tso.Simulator, k int) error {
+			for i := 0; i < k; i++ {
+				if _, err := sim.Step(0); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	})
+	b.Run("StepWhile", func(b *testing.B) {
+		bench(b, func(sim *tso.Simulator, k int) error {
+			if n, err := sim.StepWhile(0, k, nil); err != nil || n != k {
+				return fmt.Errorf("StepWhile ran %d of %d events: %v", n, k, err)
+			}
+			return nil
+		})
+	})
 }
 
 // BenchmarkReplayErasure measures the cost of erasing a process from an

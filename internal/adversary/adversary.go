@@ -235,7 +235,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	st.ctx = ctx
-	defer st.sim.Kill()
+	// Erasure swaps the simulator, so kill the one the run ends with.
+	defer func() { st.sim.Kill() }()
 	res, err := st.run()
 	if err == nil && cfg.Trace != nil {
 		feedTrace(cfg.Trace, st, res)

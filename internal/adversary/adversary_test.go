@@ -2,6 +2,9 @@ package adversary
 
 import (
 	"context"
+	"errors"
+	"runtime"
+	"strings"
 	"testing"
 
 	"priceadaptive/internal/bounds"
@@ -103,13 +106,92 @@ func TestConstructionCertifiesBakeryNonAdaptive(t *testing.T) {
 }
 
 func TestConstructionRejectsCASAlgorithms(t *testing.T) {
+	// mcs and clh issue their CAS with writes still buffered, so the read
+	// phase finds them about to commit the CAS's buffer drain.
+	for _, name := range []string{"tas", "ttas", "rtas", "anderson", "caschain", "mcs", "clh"} {
+		t.Run(name, func(t *testing.T) {
+			f, err := mutex.Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(context.Background(), Config{
+				N:         16,
+				Algorithm: mutex.Build(f),
+				F:         bounds.Linear{C: 2},
+			})
+			if !errors.Is(err, ErrUsesCAS) {
+				t.Fatalf("Run = %+v, %v; want ErrUsesCAS", res, err)
+			}
+		})
+	}
+}
+
+// settleGoroutines yields until at most want goroutines remain, or until a
+// bound on the yields runs out, and returns the count it last saw: a killed
+// simulator's goroutines finish exiting after Kill returns.
+func settleGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100000 && n > want; i++ {
+		runtime.Gosched()
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+func TestRunKillsItsFinalSimulator(t *testing.T) {
+	// These victims are erased from, and erasure swaps the simulator, so
+	// the one the run ends with is not the one it started with.
+	for _, name := range []string{"bakery", "bakery-weak", "filter"} {
+		t.Run(name, func(t *testing.T) {
+			f, err := mutex.Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := settleGoroutines(0)
+			res, err := Run(context.Background(), Config{
+				N:         16,
+				Algorithm: mutex.Build(f),
+				F:         bounds.Affine{A: 16, C: 10},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			erased := 0
+			for _, ph := range res.Phases {
+				erased += ph.Erased
+			}
+			if erased == 0 {
+				t.Fatal("the run erased no process, so it never swapped its simulator")
+			}
+			if got := settleGoroutines(base); got != base {
+				t.Fatalf("after Run: %d goroutines, want baseline %d", got, base)
+			}
+		})
+	}
+}
+
+func TestWitnessReplayErrorReturned(t *testing.T) {
+	// The victim's Build runs the synthetic lock the first time and a
+	// program that only enters its CS every time after, so the replay that
+	// extracts the witness diverges from the recorded schedule and fails.
+	builds := 0
+	synthetic := mutex.Build(mutex.NewSynthetic)
+	victim := func(sim *tso.Simulator) (tso.Program, error) {
+		if builds++; builds == 1 {
+			return synthetic(sim)
+		}
+		return func(p *tso.Proc) { p.CS() }, nil
+	}
 	res, err := Run(context.Background(), Config{
 		N:         4,
-		Algorithm: mutex.Build(mutex.NewCASChain),
-		F:         bounds.Linear{C: 2},
+		Algorithm: victim,
+		F:         bounds.Affine{A: 16, C: 10},
 	})
-	if err == nil {
-		t.Fatalf("CAS algorithm must be rejected, got result %+v", res)
+	if err == nil || !strings.Contains(err.Error(), "adversary: witness replay: tso: replay decision") {
+		t.Fatalf("Run = %+v, %v; want the witness replay's error", res, err)
+	}
+	if builds != 2 {
+		t.Fatalf("Build ran %d times, want 2: the run and the witness replay", builds)
 	}
 }
 

@@ -62,6 +62,7 @@ func newState(cfg Config) (*state, error) {
 	for i := 0; i < cfg.N; i++ {
 		st.act[i] = tso.ProcID(i)
 		if _, err := sim.Step(tso.ProcID(i)); err != nil {
+			sim.Kill()
 			return nil, fmt.Errorf("adversary: H_0 Enter p%d: %w", i, err)
 		}
 	}
@@ -103,7 +104,9 @@ func (st *state) run() (*Result, error) {
 	st.res.Stopped = se.reason
 	st.res.Certificate = se.cert
 	st.res.Violation = se.violation
-	st.finalize()
+	if err := st.finalize(); err != nil {
+		return nil, err
+	}
 	return st.res, nil
 }
 
@@ -117,7 +120,7 @@ func asStop(err error, out **stopError) bool {
 }
 
 // finalize fills the summary fields of the result.
-func (st *state) finalize() {
+func (st *state) finalize() error {
 	st.res.InductionSteps = st.fin
 	st.res.FencesForced = st.bestFences
 	st.res.TotalContention = st.bestFences + 1
@@ -126,21 +129,23 @@ func (st *state) finalize() {
 	st.res.Events = len(st.sim.Execution().Events)
 	st.res.Witness = st.bestWitness
 	st.res.WitnessCritical = st.bestCrit
-	st.extractWitness()
+	return st.extractWitness()
 }
 
 // extractWitness performs the final step of the proof of Theorem 1: erase
 // every active process except the witness from H_i, leaving an execution H
 // whose total contention is i+1 in which the witness executed i fences
 // inside a single passage. The result is verified (the erasure must be
-// faithful and the fence count must match) and summarized in the Result.
-func (st *state) extractWitness() {
+// faithful and the fence count must match) and summarized in the Result. A
+// replay that fails is an internal error: the recorded schedule applied
+// once already.
+func (st *state) extractWitness() error {
 	if st.bestWitness < 0 {
-		return
+		return nil
 	}
 	replayed, err := st.sim.ReplayPrefix(st.bestBanned, st.bestSchedLen)
 	if err != nil {
-		return
+		return fmt.Errorf("adversary: witness replay: %w", err)
 	}
 	defer replayed.Kill()
 	participants := make(map[tso.ProcID]bool)
@@ -150,6 +155,7 @@ func (st *state) extractWitness() {
 	st.res.WitnessParticipants = len(participants)
 	st.res.WitnessVerified = replayed.FencesCompleted(st.bestWitness) == st.bestFences &&
 		len(participants) == st.bestFences+1
+	return nil
 }
 
 // inductionStep builds H_{i+1} from H_i via the three phases.
@@ -183,18 +189,40 @@ func (st *state) certificate(phase string, p tso.ProcID, critical int) error {
 	}
 }
 
+// notSpecial and soloRunnable are the conditions under which the
+// construction runs one process alone: up to its next special event
+// (Lemmas 6 and 7), and up to its end or its next critical event, short of
+// a CAS (Lemma 8). They are functions, not closures, so that handing one
+// to StepWhile allocates nothing.
+func notSpecial(s *tso.Simulator, p tso.ProcID) bool { return !s.PendingSpecial(p) }
+
+func soloRunnable(s *tso.Simulator, p tso.ProcID) bool {
+	return !s.Done(p) && !s.PendingCritical(p) && s.PendingOp(p).Kind != tso.OpCAS
+}
+
+// runSolo runs p alone while cont holds, in one StepWhile; what names the
+// run in an error. A process that takes more than SoloBudget events stops
+// the construction: the victim is not weak obstruction-free.
+func (st *state) runSolo(what string, p tso.ProcID, cont func(*tso.Simulator, tso.ProcID) bool) error {
+	if !cont(st.sim, p) {
+		return nil
+	}
+	n, err := st.sim.StepWhile(p, st.cfg.SoloBudget+1, cont)
+	if err != nil {
+		return fmt.Errorf("adversary: %s p%d: %w", what, p, err)
+	}
+	if n > st.cfg.SoloBudget {
+		return &stopError{reason: StopNotObstructionFree}
+	}
+	return nil
+}
+
 // runAllToSpecial advances every active process (in increasing ID order)
 // until its pending operation is a special event.
 func (st *state) runAllToSpecial() error {
 	for _, p := range st.act {
-		budget := st.cfg.SoloBudget
-		for !st.sim.PendingSpecial(p) {
-			if _, err := st.sim.Step(p); err != nil {
-				return fmt.Errorf("adversary: advancing p%d: %w", p, err)
-			}
-			if budget--; budget < 0 {
-				return &stopError{reason: StopNotObstructionFree}
-			}
+		if err := st.runSolo("advancing", p, notSpecial); err != nil {
+			return err
 		}
 		if msg, ok := st.sim.ProgramPanic(p); ok {
 			return fmt.Errorf("adversary: p%d panicked: %s", p, msg)
@@ -300,7 +328,9 @@ func (st *state) readPhase(i int) error {
 				z1 = append(z1, p)
 			case tso.OpRead:
 				z2 = append(z2, p)
-			case tso.OpCAS:
+			case tso.OpCAS, tso.OpCommit:
+				// Every active process is between fences here, so a pending
+				// commit is the buffer drain of a CAS.
 				return ErrUsesCAS
 			default:
 				return fmt.Errorf("adversary: read phase: p%d pending unexpected %v", p, op)
@@ -489,18 +519,12 @@ func (st *state) regularizePhase(i int) error {
 	pmax := st.act[len(st.act)-1]
 	for {
 		// Run pmax until it terminates or is about to execute a critical
-		// event.
-		budget := st.cfg.SoloBudget
-		for !st.sim.Done(pmax) && !st.sim.PendingCritical(pmax) {
-			if st.sim.PendingOp(pmax).Kind == tso.OpCAS {
-				return ErrUsesCAS
-			}
-			if _, err := st.sim.Step(pmax); err != nil {
-				return fmt.Errorf("adversary: regularize p%d: %w", pmax, err)
-			}
-			if budget--; budget < 0 {
-				return &stopError{reason: StopNotObstructionFree}
-			}
+		// event. Short of both, it stopped at a CAS.
+		if err := st.runSolo("regularize", pmax, soloRunnable); err != nil {
+			return err
+		}
+		if !st.sim.Done(pmax) && !st.sim.PendingCritical(pmax) {
+			return ErrUsesCAS
 		}
 		if msg, ok := st.sim.ProgramPanic(pmax); ok {
 			return fmt.Errorf("adversary: p%d panicked: %s", pmax, msg)
